@@ -419,14 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("survival_csv")
     _add_fit_flags(p_fit)
     p_fit.add_argument("--out", default="fit_out")
-    p_fit.add_argument("--threads", type=int, default=1)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="draw a dataset from a design file")
     p_sim.add_argument("design")
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out", default="sim_out")
-    p_sim.add_argument("--threads", type=int, default=1)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo coverage study for a design")
@@ -446,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--survival", dest="survival_csv", required=True)
     p_check.add_argument("--params", required=True, help="JSON file with true parameters and baseline")
     p_check.add_argument("--out", default="check_out")
-    p_check.add_argument("--threads", type=int, default=1)
     p_check.set_defaults(func=_cmd_check)
     parser._jointmix_subparsers = {"fit": p_fit, "simulate": p_sim, "mc": p_mc, "check": p_check}
     return parser

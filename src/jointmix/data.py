@@ -99,7 +99,10 @@ class PackedData:
     Ordinal responses are reduced to their sufficient statistics: per-subject
     count tensors ``counts[i, j, l]`` and observed-cell totals
     ``cells[i, j]``.  Survival times are indexed against the sorted distinct
-    observed times so that risk sets become suffix sums.
+    observed times, and the time order is computed once here, so every
+    risk-set sum the fitters take is :meth:`suffix_sums`: one reverse
+    cumulative sum read at the first sorted position of each distinct time.
+    Subjects keep their input order in every array.
     """
 
     def __init__(self, records: Sequence[SubjectRecord], n_levels: int | None = None,
@@ -132,6 +135,11 @@ class PackedData:
         self.n_times = self.distinct_times.size
         self.event_counts = np.bincount(self.time_index, weights=self.events,
                                         minlength=self.n_times)
+        # subjects by decreasing time; the running sum over this order, read at
+        # _suffix_at[k], covers exactly the risk set {i : T_i >= distinct_times[k]}
+        order = np.argsort(self.times, kind="stable")
+        self._desc_order = order[::-1].copy()
+        self._suffix_at = n - 1 - np.searchsorted(self.times[order], self.distinct_times)
         for arr in (self.times, self.events, self.covariates, self.counts, self.cells,
                     self.distinct_times, self.time_index, self.event_counts):
             arr.flags.writeable = False
@@ -154,16 +162,5 @@ class PackedData:
         leading axis replaced by the distinct-time axis, entry ``k`` holding
         the sum over subjects with ``T_i >= distinct_times[k]``.
         """
-        values = np.asarray(values)
-        if values.ndim == 1:
-            per_time = np.bincount(self.time_index, weights=values, minlength=self.n_times)
-        else:
-            per_time = np.empty((self.n_times, values.shape[1]))
-            for col in range(values.shape[1]):
-                per_time[:, col] = np.bincount(self.time_index, weights=values[:, col],
-                                               minlength=self.n_times)
-        return per_time[::-1].cumsum(axis=0)[::-1]
-
-    def risk_counts(self) -> np.ndarray:
-        """Number of subjects at risk at each distinct time."""
-        return self.suffix_sums(np.ones(self.n))
+        running = np.cumsum(np.take(values, self._desc_order, axis=0), axis=0)
+        return np.take(running, self._suffix_at, axis=0)

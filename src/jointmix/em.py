@@ -7,6 +7,10 @@ the hazard re-profiled (at fixed responsibilities) inside the inner
 optimizer.  The observed-data log-likelihood recorded per iteration is
 nondecreasing by the usual EM argument because profiling maximizes over the
 hazard jumps exactly.
+
+This module only drives the kernels: the likelihood core lives in
+:mod:`likelihood`, the risk-set sums, Breslow jumps, survival log-likelihood
+and profiled M-step objective in :mod:`data` and :mod:`survival`.
 """
 
 from __future__ import annotations
@@ -18,21 +22,19 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from . import ordinal as _ordinal
+from . import inference as _inference
 from . import survival as _survival
-from .data import DataError, PackedData
+from .data import PackedData
+from .likelihood import (DegenerateSubjectError, _gamma_of, _loglik_components,
+                         _posterior_from_components, _posterior_matrix)
 from .ordinal import OrdinalParams
 from .params import ModelParams, ParamLayout, phi_from_u
-from .survival import _LP_BOUND, HazardSteps, RiskSetTables, SurvivalParams
+from .survival import HazardSteps, RiskSetTables, SurvivalParams
 
 _COLLAPSE_PI = 1e-6
 _COLLAPSE_MASS = 1.0
 _FIRST_ORDER_TOL = 1e-6
 _INNER_GTOL = 1e-7
-
-
-class DegenerateSubjectError(RuntimeError):
-    """A subject's density underflowed to zero in every mixture component."""
 
 
 class MStepError(RuntimeError):
@@ -103,86 +105,14 @@ class FitResult:
         return float(self.loglik_trace[-1])
 
 
-def _gamma_of(posterior) -> np.ndarray:
-    return posterior.gamma if isinstance(posterior, Posterior) else np.asarray(posterior, dtype=float)
-
-
 # ------------------------------------------------------------ likelihood core
 
-def _hazard_from_w(packed: PackedData, w: np.ndarray):
-    """Profiled jumps and their cumulative sum from per-subject risk weights."""
-    per_time = np.empty((packed.n_times, w.shape[1]))
-    for col in range(w.shape[1]):
-        per_time[:, col] = np.bincount(packed.time_index, weights=w[:, col],
-                                       minlength=packed.n_times)
-    s0 = per_time[::-1].cumsum(axis=0)[::-1].sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        jumps = np.where(packed.event_counts > 0,
-                         packed.event_counts / np.where(s0 > 0, s0, 1.0), 0.0)
-    return jumps, np.cumsum(jumps)
-
-
-def _loglik_components(packed: PackedData, params: ModelParams, hazard) -> np.ndarray:
-    """log pi_r + log P(Y_i | r) + log P(T_i, d_i | r) as an (n, R) matrix."""
-    ll = _ordinal.loglik_matrix(packed, params.ordinal, params.theta)
-    if isinstance(hazard, RiskSetTables):
-        ll += _survival.loglik_matrix(packed, hazard, params.theta, params.survival)
-    elif isinstance(hazard, tuple):
-        jumps, cum = hazard
-        ll += _survival_components(packed, params, jumps, cum)
-    else:
-        ll += _loglik_from_hazard(packed, params, hazard)
-    return ll + np.log(params.pi)[None, :]
-
-
-def _survival_components(packed: PackedData, params: ModelParams, jumps: np.ndarray,
-                         cum: np.ndarray) -> np.ndarray:
-    lp = _survival.linear_predictors(params.theta, params.survival, packed.covariates)
-    log_jump = np.zeros(packed.n)
-    ev = packed.events > 0
-    jumps_at = jumps[packed.time_index[ev]]
-    if np.any(jumps_at <= 0):
-        bad = np.flatnonzero(ev)[jumps_at <= 0][0]
-        raise _survival.InvalidHazardError(
-            f"subject {packed.subject_ids[bad]!r} has an event at a zero-jump time")
-    log_jump[ev] = np.log(jumps_at)
-    return ((packed.events * log_jump)[:, None] + packed.events[:, None] * lp
-            - cum[packed.time_index][:, None] * np.exp(lp))
-
-
-def _loglik_from_hazard(packed: PackedData, params: ModelParams, hazard: HazardSteps) -> np.ndarray:
-    lp = _survival.linear_predictors(params.theta, params.survival, packed.covariates)
-    cum = hazard.cum(packed.times)
-    log_jump = np.zeros(packed.n)
-    ev = packed.events > 0
-    if np.any(ev):
-        if hazard.times.size == 0:
-            bad = int(np.flatnonzero(ev)[0])
-            raise _survival.InvalidHazardError(
-                f"subject {packed.subject_ids[bad]!r} has an event at a zero-jump time")
-        idx = np.minimum(np.searchsorted(hazard.times, packed.times[ev]), hazard.times.size - 1)
-        ok = hazard.times[idx] == packed.times[ev]
-        jumps = np.where(ok, hazard.jumps[idx], 0.0)
-        if np.any(jumps <= 0):
-            bad = np.flatnonzero(ev)[jumps <= 0][0]
-            raise _survival.InvalidHazardError(
-                f"subject {packed.subject_ids[bad]!r} has an event at a zero-jump time")
-        log_jump[ev] = np.log(jumps)
-    return (packed.events * log_jump)[:, None] + packed.events[:, None] * lp - cum[:, None] * np.exp(lp)
-
-
-def _posterior_from_components(packed: PackedData, comp: np.ndarray) -> np.ndarray:
-    rowmax = comp.max(axis=1)
-    if np.any(~np.isfinite(rowmax)):
-        bad = int(np.flatnonzero(~np.isfinite(rowmax))[0])
-        raise DegenerateSubjectError(
-            f"subject {packed.subject_ids[bad]!r}: zero density in every component")
-    gamma = np.exp(comp - rowmax[:, None])
-    return gamma / gamma.sum(axis=1, keepdims=True)
-
-
-def _posterior_matrix(packed: PackedData, params: ModelParams, hazard) -> np.ndarray:
-    return _posterior_from_components(packed, _loglik_components(packed, params, hazard))
+def _profiled_components(packed: PackedData, params: ModelParams, gamma: np.ndarray) -> np.ndarray:
+    """(n, R) log-likelihood components with the hazard profiled at ``gamma``."""
+    w = gamma * np.exp(_survival.linear_predictors(params.theta, params.survival,
+                                                   packed.covariates))
+    steps = _survival.breslow_steps(packed, packed.suffix_sums(w @ np.ones(params.n_groups)))
+    return _loglik_components(packed, params, steps)
 
 
 def e_step(data, params: ModelParams, hazard) -> Posterior:
@@ -223,15 +153,14 @@ class _MStepContext:
         self.wc = (gamma.T @ packed.counts.reshape(n, -1)).reshape(
             layout.R, packed.n_items, packed.n_levels)
         self.wm = gamma.T @ packed.cells
-        self.d_gamma = gamma.T @ packed.events
-        self.sum_dx = float(packed.events @ packed.covariates)
         self.scale = 1.0 / n
 
-    def neg_q_grad(self, y: np.ndarray, want_tables: bool = False):
+    def neg_q_grad(self, y: np.ndarray):
         """Value and gradient of -Q/n at optimizer coordinates ``y``."""
         lay = self.layout
-        packed = self.packed
         L = lay.L
+        if not np.all(np.isfinite(y)):     # SurvivalParams below rejects such points
+            return np.inf, np.zeros(lay.n_free)
         theta = np.concatenate([[0.0], y[lay.sl_theta]])
         a = np.concatenate([[0.0], y[lay.sl_a]])
         b = np.concatenate([[0.0], y[lay.sl_b]])
@@ -253,25 +182,16 @@ class _MStepContext:
         grad[lay.sl_phi] = (xs[:, :, None] * resid).sum(axis=(0, 1))[1:L - 1]
         grad[lay.sl_theta] = resid_phi.sum(axis=1)[1:]
 
-        lp = np.clip(theta[None, :] * d0 + packed.covariates[:, None] * d1,
-                     -_LP_BOUND, _LP_BOUND)
-        w = self.gamma * np.exp(lp)
-        jumps, cum = _hazard_from_w(packed, w)
-        ev = packed.event_counts > 0
-        cum_at = cum[packed.time_index]
-        wl = w * cum_at[:, None]
-        q += float((packed.event_counts[ev] * np.log(jumps[ev])).sum()
-                   + ((self.gamma * lp) * packed.events[:, None]).sum() - wl.sum())
-        core = self.d_gamma - wl.sum(axis=0)
-        grad[lay.sl_theta] += d0 * core[1:]
-        grad[lay.idx_d0] = float(theta @ core)
-        grad[lay.idx_d1] = self.sum_dx - float(wl.sum(axis=1) @ packed.covariates)
+        q_surv, g_surv = _survival.profiled_loglik(self.packed, self.gamma, theta,
+                                                   SurvivalParams(d0, d1))
+        q += q_surv
+        grad[lay.sl_theta] += g_surv[:lay.R - 1]
+        grad[lay.idx_d0] = g_surv[lay.R - 1]
+        grad[lay.idx_d1] = g_surv[lay.R]
 
         if not np.isfinite(q):
             return np.inf, np.zeros(lay.n_free)
         g_opt = lay.grad_to_opt(grad, y[lay.sl_phi])
-        if want_tables:
-            return -q * self.scale, -g_opt * self.scale, (jumps, cum)
         return -q * self.scale, -g_opt * self.scale
 
 
@@ -419,9 +339,7 @@ def draw_initial_params(rng: np.random.Generator, n_groups: int, n_levels: int,
 def _em_single(packed: PackedData, params: ModelParams, config: EMConfig):
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
     gamma = np.tile(params.pi, (packed.n, 1))
-    lp = _survival.linear_predictors(params.theta, params.survival, packed.covariates)
-    hazard_pair = _hazard_from_w(packed, gamma * np.exp(lp))
-    comp = _loglik_components(packed, params, hazard_pair)
+    comp = _profiled_components(packed, params, gamma)
     trace = [float(logsumexp(comp, axis=1).sum())]
     if not np.isfinite(trace[0]):
         return {"params": params, "gamma": gamma, "trace": trace,
@@ -451,9 +369,7 @@ def _em_single(packed: PackedData, params: ModelParams, config: EMConfig):
             status = "m-step failure"
             break
         gamma = gamma_new
-        lp = _survival.linear_predictors(params.theta, params.survival, packed.covariates)
-        hazard_pair = _hazard_from_w(packed, gamma * np.exp(lp))
-        comp = _loglik_components(packed, params, hazard_pair)
+        comp = _profiled_components(packed, params, gamma)
         ll_new = float(logsumexp(comp, axis=1).sum())
         if not np.isfinite(ll_new):
             status = "non-finite loglik"
@@ -527,8 +443,6 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
     params, _, gamma = relabel_ascending(params, None, gamma)
     tables = RiskSetTables(packed, gamma, params.theta, params.survival)
     trace = list(best["trace"])
-
-    from . import inference as _inference  # deferred: inference builds on this module
 
     converged = best["converged"]
     if converged:

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import em as _em
 from . import ordinal as _ordinal
 from . import survival as _survival
 from .data import PackedData, SubjectRecord
+from .likelihood import _gamma_of, _posterior_matrix
 from .params import ModelParams, ParamLayout
 from .survival import HazardSteps, RiskSetTables
 
@@ -67,7 +67,7 @@ def score_matrix(data, params: ModelParams, posterior, tables: RiskSetTables | N
     ``(posterior, params)``.
     """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
-    gamma = _em._gamma_of(posterior)
+    gamma = _gamma_of(posterior)
     if tables is None:
         tables = RiskSetTables(packed, gamma, params.theta, params.survival)
     surv = _survival.profile_scores(packed, gamma, tables)
@@ -155,7 +155,7 @@ def fixed_point_posterior(data, params: ModelParams, gamma0: np.ndarray | None =
     gamma = np.tile(params.pi, (packed.n, 1)) if gamma0 is None else np.array(gamma0, dtype=float)
     for _ in range(max_iter):
         tables = RiskSetTables(packed, gamma, params.theta, params.survival)
-        gamma_new = _em._posterior_matrix(packed, params, tables)
+        gamma_new = _posterior_matrix(packed, params, tables)
         step = float(np.max(np.abs(gamma_new - gamma)))
         gamma = gamma_new
         if step < tol:
@@ -290,18 +290,13 @@ class DirectionStat:
 def true_posterior(data, params: ModelParams, baseline) -> np.ndarray:
     """Responsibilities under a known (continuous) baseline cumulative hazard.
 
-    Baseline density factors common to all groups cancel from the ratio, so
-    only d * lp - Lambda(T) exp(lp) enters the survival part.
+    The baseline density lambda(T) is common to all groups and cancels from
+    the ratio, so a unit jump at every data time stands in for it and only
+    d * lp - Lambda(T) exp(lp) enters the survival part.
     """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
-    lp = _survival.linear_predictors(params.theta, params.survival, packed.covariates)
-    cum = np.asarray(baseline.cum(packed.times))
-    comp = (np.log(params.pi)[None, :]
-            + _ordinal.loglik_matrix(packed, params.ordinal, params.theta)
-            + packed.events[:, None] * lp - cum[:, None] * np.exp(lp))
-    comp -= comp.max(axis=1, keepdims=True)
-    gamma = np.exp(comp)
-    return gamma / gamma.sum(axis=1, keepdims=True)
+    steps = (np.ones(packed.n_times), np.asarray(baseline.cum(packed.distinct_times), dtype=float))
+    return _posterior_matrix(packed, params, steps)
 
 
 def orthogonality_check(data, params: ModelParams, directions, baseline) -> list[DirectionStat]:
@@ -340,7 +335,7 @@ def efficient_score_equivalence(data, params: ModelParams, posterior) -> float:
     equality is an identity of the model, so the gap should be round-off.
     """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
-    gamma = _em._gamma_of(posterior)
+    gamma = _gamma_of(posterior)
     tables = RiskSetTables(packed, gamma, params.theta, params.survival)
     profile = _survival.profile_scores(packed, gamma, tables)
     efficient = _survival.efficient_scores(packed, gamma, tables.hazard_steps(), tables)
@@ -368,7 +363,7 @@ def contraction_check(data, params: ModelParams, hazard: HazardSteps) -> Contrac
     mass = float(hazard.cum(t_max))
     if mass <= 0:
         raise ValueError("total hazard mass on (0, t_max] is zero; bound undefined")
-    gamma = _em._posterior_matrix(packed, params, hazard)
+    gamma = _posterior_matrix(packed, params, hazard)
     e = np.exp(_survival.linear_predictors(params.theta, params.survival, packed.covariates))
     avg = (gamma * e).sum(axis=1)
     max_lhs = float(np.max(np.abs(avg[:, None] - e)))

@@ -129,16 +129,22 @@ def weighted_score_parts(packed: PackedData, params: OrdinalParams, theta: np.nd
 
     Returns ``(d_theta, d_a, d_b, d_phi)`` with shapes ``(n, R-1)``,
     ``(n, L-1)``, ``(n, J-1)`` and ``(n, L-2)``; group weights are treated as
-    constants.
+    constants.  Each block sums gamma_ir times the residual counts[i, j, l] -
+    cells[i, j] probs[r, j, l] over groups first, so no (n, R, J, L) array
+    is formed and gamma rows need not sum to one.
     """
     L = params.n_levels
     eta, logz = _linear_predictor(params, theta)
-    probs = np.exp(eta - logz[:, :, None])
-    resid = packed.counts[:, None, :, :] - packed.cells[:, None, :, None] * probs[None, :, :, :]
-    g_resid = gamma[:, :, None, None] * resid
-    x = params.b[None, :] + theta[:, None]
-    d_theta = np.einsum("nrjl,l->nr", g_resid, params.phi)[:, 1:]
-    d_a = g_resid.sum(axis=(1, 2))[:, 1:]
-    d_b = np.einsum("nrjl,l->nj", g_resid, params.phi)[:, 1:]
-    d_phi = np.einsum("nrjl,rj->nl", g_resid, x)[:, 1:L - 1]
-    return d_theta, d_a, d_b, d_phi
+    probs = np.exp(eta - logz[:, :, None])                       # (R, J, L)
+    x = params.b[None, :] + theta[:, None]                       # (R, J)
+    counts, cells, phi = packed.counts, packed.cells, params.phi
+    weight = gamma.sum(axis=1)[:, None]
+    counts_phi = counts @ phi                                    # (n, J)
+    # sum_r gamma_ir sum_j cells_ij probs_rjl, plain and weighted by x_rj
+    expected = np.einsum("ir,ril->il", gamma, cells @ probs)
+    expected_x = np.einsum("ir,ril->il", gamma, cells @ (x[:, :, None] * probs))
+    d_theta = gamma * (counts_phi.sum(axis=1)[:, None] - cells @ (probs @ phi).T)
+    d_a = weight * counts.sum(axis=1) - expected
+    d_b = weight * counts_phi - cells * (gamma @ (probs @ phi))
+    d_phi = np.einsum("ij,ijl->il", gamma @ x, counts) - expected_x
+    return d_theta[:, 1:], d_a[:, 1:], d_b[:, 1:], d_phi[:, 1:L - 1]

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jointmix.cli import main
+from jointmix.cli import EXIT_INPUT, main
 
 DESIGN = {
     "n": 90,
@@ -71,6 +71,13 @@ class TestFit:
             assert (tmp_path / "one" / name).exists()
         result = json.loads((tmp_path / "one" / "result.json").read_text())
         assert result["converged"] is True
+
+    def test_threads_flag_is_rejected(self, sim_dir, tmp_path):
+        # only mc runs replications in parallel; fit has no --threads flag
+        code = main(["fit", str(sim_dir / "ordinal.csv"), str(sim_dir / "survival.csv"),
+                     "--threads", "2", "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert not (tmp_path / "out").exists()
 
     def test_missing_subject_exits_1(self, sim_dir, tmp_path):
         survival = (sim_dir / "survival.csv").read_text().splitlines()

@@ -16,9 +16,9 @@ from jointmix.survival import RiskSetTables
 from conftest import make_subject, random_gamma, random_params, random_dataset
 
 
-def dataset_and_gamma(seed, n=30, n_groups=2):
+def dataset_and_gamma(seed, n=30, n_groups=2, n_levels=3, n_items=2):
     rng = np.random.default_rng(seed)
-    params = random_params(rng, n_groups, 3, 2)
+    params = random_params(rng, n_groups, n_levels, n_items)
     records = random_dataset(rng, n, params)
     gamma = random_gamma(rng, n, n_groups)
     return params, records, gamma
@@ -31,6 +31,16 @@ class TestProfileScoreObs:
         tables = RiskSetTables(packed, gamma, params.theta, params.survival)
         matrix = score_matrix(packed, params, gamma, tables)
         for i in (0, 7, 29):
+            row = profile_score_obs(records[i], params, gamma[i], tables)
+            np.testing.assert_allclose(row, matrix[i], rtol=1e-10, atol=1e-12)
+
+    def test_wider_design_rows_with_unnormalized_gamma(self):
+        params, records, gamma = dataset_and_gamma(1, n_groups=3, n_levels=5, n_items=4)
+        gamma = gamma * np.linspace(0.5, 2.0, len(records))[:, None]
+        packed = PackedData.coerce(records, 5, 4)
+        tables = RiskSetTables(packed, gamma, params.theta, params.survival)
+        matrix = score_matrix(packed, params, gamma, tables)
+        for i in (0, 11, 29):
             row = profile_score_obs(records[i], params, gamma[i], tables)
             np.testing.assert_allclose(row, matrix[i], rtol=1e-10, atol=1e-12)
 
@@ -50,7 +60,7 @@ class TestProfileScoreObs:
         tables = RiskSetTables(packed, gamma, params.theta, params.survival)
         total = score_matrix(packed, params, gamma, tables).sum(axis=0)
 
-        from jointmix.em import _loglik_components
+        from jointmix.likelihood import _loglik_components
 
         def weighted_loglik(x):
             p = layout.unpack(x, params.pi)
@@ -291,7 +301,7 @@ class TestFixedPoint:
     def test_consistency_of_fixed_point(self):
         params, records, _ = dataset_and_gamma(80, n=40)
         gamma, tables = fixed_point_posterior(records, params)
-        from jointmix.em import _posterior_matrix
+        from jointmix.likelihood import _posterior_matrix
         packed = PackedData.coerce(records, 3, 2)
         refreshed = _posterior_matrix(packed, params, tables)
         assert np.max(np.abs(refreshed - gamma)) < 1e-10

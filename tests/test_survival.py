@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointmix import (EmptyRiskSetError, HazardSteps, InvalidHazardError, SurvivalParams,
@@ -10,7 +10,7 @@ from jointmix import (EmptyRiskSetError, HazardSteps, InvalidHazardError, Surviv
                       risk_aggregates, risk_set_tables, survival_loglik,
                       survival_profile_score)
 from jointmix.data import PackedData
-from jointmix.survival import efficient_scores, envelope_gradient, profile_scores
+from jointmix.survival import efficient_scores, loglik_matrix, profile_scores, profiled_loglik
 
 from conftest import make_subject, random_gamma, survival_only
 
@@ -61,6 +61,45 @@ class TestRiskAggregates:
         records = survival_only([1.0, 2.0], [1, 0], [0.0, 0.0])
         with pytest.raises(EmptyRiskSetError):
             risk_aggregates(5.0, records, np.ones((2, 1)), np.array([0.0]), SurvivalParams(0.0, 0.0))
+
+
+@st.composite
+def tied_survival_data(draw, max_n=15):
+    """Small dataset whose times come from a few values, so ties are common."""
+    n = draw(st.integers(1, max_n))
+    times = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.5]), min_size=n, max_size=n))
+    events = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    covariates = draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return survival_only(times, events, covariates), rng
+
+
+class TestSuffixSums:
+    @given(tied_survival_data())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_masked_sums(self, drawn):
+        records, rng = drawn
+        packed = PackedData.coerce(records)
+        for values in (rng.normal(size=packed.n), rng.normal(size=(packed.n, 3))):
+            brute = np.array([values[packed.times >= t].sum(axis=0) for t in packed.distinct_times])
+            np.testing.assert_allclose(packed.suffix_sums(values), brute, rtol=1e-12, atol=1e-12)
+
+    @given(tied_survival_data(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_jumps_and_loglik_rows_invariant_to_subject_order(self, drawn, data):
+        records, rng = drawn
+        perm = np.asarray(data.draw(st.permutations(range(len(records)))), dtype=int)
+        gamma = random_gamma(rng, len(records), 2)
+        theta = np.array([0.0, 0.7])
+        delta = SurvivalParams(0.4, -0.3)
+        packed = PackedData.coerce(records)
+        shuffled = PackedData.coerce([records[i] for i in perm])
+        tables = risk_set_tables(packed, gamma, theta, delta)
+        tables_p = risk_set_tables(shuffled, gamma[perm], theta, delta)
+        np.testing.assert_allclose(tables_p.jumps, tables.jumps, rtol=1e-12, atol=0)
+        rows = loglik_matrix(packed, tables, theta, delta)
+        rows_p = loglik_matrix(shuffled, tables_p, theta, delta)
+        np.testing.assert_allclose(rows_p[np.argsort(perm)], rows, rtol=1e-12, atol=1e-12)
 
 
 class TestProfileHazard:
@@ -127,21 +166,24 @@ class TestCumHazard:
         hazard = HazardSteps(np.array([1.0, 2.0]), np.array([1 / 3, 1 / 2]))
         assert cum_hazard(hazard, 99.0) == hazard.jumps.sum()
 
-    @given(st.lists(st.floats(0.01, 50), min_size=1, max_size=12, unique=True),
-           st.data())
+    @given(st.lists(st.floats(0.01, 50), min_size=1, max_size=12, unique=True).flatmap(
+        lambda ts: st.tuples(st.just(ts), st.lists(st.floats(0, 2), min_size=len(ts),
+                                                    max_size=len(ts)))))
+    @example(([1.0, float(np.nextafter(1.0, np.inf))], [0.5, 0.5]))
     @settings(max_examples=50, deadline=None)
-    def test_nondecreasing_right_continuous(self, times, data):
-        times = np.sort(np.asarray(times))
-        jumps = np.asarray(data.draw(st.lists(st.floats(0, 2), min_size=len(times),
-                                              max_size=len(times))))
-        hazard = HazardSteps(times, jumps)
+    def test_nondecreasing_right_continuous(self, steps):
+        order = np.argsort(steps[0])
+        times = np.asarray(steps[0])[order]
+        hazard = HazardSteps(times, np.asarray(steps[1])[order])
         grid = np.sort(np.concatenate([times, times - 1e-9, times + 1e-9, [0.0, 100.0]]))
         values = hazard.cum(np.maximum(grid, 0.0))
         assert np.all(np.diff(values) >= 0)
-        # right continuity: value at a jump equals the limit from the right
-        at = hazard.cum(times)
-        just_right = hazard.cum(np.nextafter(times, np.inf))
-        np.testing.assert_allclose(at, just_right, rtol=0, atol=0)
+        # right continuity: value at a jump equals the limit from the right; the
+        # next float up is a right-limit point only when it is not the next jump time
+        just_right = np.nextafter(times, np.inf)
+        clear = np.append(just_right[:-1] < times[1:], True)
+        np.testing.assert_allclose(hazard.cum(times)[clear], hazard.cum(just_right)[clear],
+                                   rtol=0, atol=0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -411,17 +453,27 @@ class TestBreslowStationarity:
                 assert objective(jumps) <= base + 1e-12
 
 
+def envelope_case(seed):
+    rng = np.random.default_rng(seed)
+    n = 20
+    records = survival_only(rng.exponential(1.0, n) + 0.05, rng.integers(0, 2, n),
+                            rng.normal(0, 1, n))
+    packed = PackedData.coerce(records)
+    gamma = random_gamma(rng, n, 2)
+    theta = np.array([0.0, 0.5])
+    delta = SurvivalParams(0.3, 0.1)
+    return packed, gamma, theta, delta, risk_set_tables(packed, gamma, theta, delta)
+
+
 class TestEnvelopeGradient:
     def test_matches_full_score_sum(self):
-        rng = np.random.default_rng(13)
-        n = 20
-        records = survival_only(rng.exponential(1.0, n) + 0.05, rng.integers(0, 2, n),
-                                rng.normal(0, 1, n))
-        packed = PackedData.coerce(records)
-        gamma = random_gamma(rng, n, 2)
-        theta = np.array([0.0, 0.5])
-        delta = SurvivalParams(0.3, 0.1)
-        tables = risk_set_tables(packed, gamma, theta, delta)
+        packed, gamma, theta, delta, tables = envelope_case(13)
         full = profile_scores(packed, gamma, tables).sum(axis=0)
-        envelope = envelope_gradient(packed, gamma, tables)
+        _, envelope = profiled_loglik(packed, gamma, theta, delta)
         np.testing.assert_allclose(full, envelope, rtol=1e-9, atol=1e-9)
+
+    def test_value_is_weighted_loglik_matrix_sum(self):
+        packed, gamma, theta, delta, tables = envelope_case(14)
+        value, _ = profiled_loglik(packed, gamma, theta, delta)
+        expected = (gamma * loglik_matrix(packed, tables, theta, delta)).sum()
+        assert value == pytest.approx(expected, rel=1e-12)
