@@ -1,12 +1,27 @@
-"""EM loop for the joint mixture: responsibilities, M-steps, convergence control.
+"""EM loop for the joint mixture: responsibilities, M-steps, SQUAREM acceleration.
 
-Each iteration profiles the baseline hazard at the previous responsibilities,
-takes an E-step at that hazard, then maximizes the expected complete-data
-log-likelihood over the mixture weights and the structural parameters with
-the hazard re-profiled (at fixed responsibilities) inside the inner
-optimizer.  The observed-data log-likelihood recorded per iteration is
-nondecreasing by the usual EM argument because profiling maximizes over the
-hazard jumps exactly.
+The EM map F acts on the state x = (structural parameters in optimizer
+coordinates, ``ParamLayout.pack_opt``; logit pi with group 1 as reference;
+log Breslow jumps at the event times).  F(x) takes an E-step at x's own
+hazard, which gives the observed log-likelihood at x and the
+responsibilities; the M-step then sets pi to the responsibility column means
+and maximizes the expected complete-data log-likelihood over the structural
+parameters with the hazard re-profiled (at fixed responsibilities) inside the
+inner optimizer; the new jumps are the ones profiled at its optimum.  The
+observed log-likelihood never drops along F, by the usual EM argument,
+because profiling maximizes over the hazard jumps exactly.
+
+F converges linearly and slowly, so :func:`em_fit` runs SQUAREM (Varadhan &
+Roland 2008, Scand. J. Stat. 35:335-353, step length S3) over it.  Each cycle
+computes x1 = F(x0) and x2 = F(x1), then extrapolates
+x' = x0 - 2 alpha r + alpha^2 v with r = x1 - x0, v = x2 - 2 x1 + x0 and
+alpha = -|r| / |v| clamped to [-bound, -1]; the bound starts at 4 and is
+multiplied by 4 whenever alpha reaches it.  The cycle moves on to F(x') when
+the log-likelihood at x' is at least the one at x1, and to x2 otherwise,
+also when evaluating F at x' fails.  This safeguard keeps the recorded
+log-likelihood trace nondecreasing.  The tolerance test runs between
+successive cycle outputs; the returned responsibilities are the E-step
+posterior at the returned point.
 
 This module only drives the kernels: the likelihood core lives in
 :mod:`likelihood`, the risk-set sums, Breslow jumps, survival log-likelihood
@@ -19,14 +34,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from . import inference as _inference
+from . import ordinal as _ordinal
 from . import survival as _survival
 from .data import PackedData
-from .likelihood import (DegenerateSubjectError, _gamma_of, _loglik_components,
-                         _posterior_from_components, _posterior_matrix)
+from .likelihood import (DegenerateSubjectError, _gamma_of, _loglik_and_posterior,
+                         _loglik_components, _posterior_matrix)
 from .ordinal import OrdinalParams
 from .params import ModelParams, ParamLayout, phi_from_u
 from .survival import HazardSteps, RiskSetTables, SurvivalParams
@@ -35,6 +49,9 @@ _COLLAPSE_PI = 1e-6
 _COLLAPSE_MASS = 1.0
 _FIRST_ORDER_TOL = 1e-6
 _INNER_GTOL = 1e-7
+# SQUAREM: initial bound on |alpha| and its growth factor when alpha reaches it;
+# a bound of 1 would pin alpha at -1, i.e. plain EM
+_STEP_BOUND = 4.0
 
 
 class MStepError(RuntimeError):
@@ -69,7 +86,15 @@ class Posterior:
 
 @dataclass(frozen=True)
 class EMConfig:
-    """Convergence tolerances, iteration budget and restart policy."""
+    """Convergence tolerances, iteration budget and restart policy.
+
+    A restart converges when, between two successive SQUAREM cycle outputs,
+    the relative change of the observed log-likelihood is below
+    ``tol_loglik`` and the largest change of a free parameter or mixture
+    weight is below ``tol_param``.  ``max_iter`` bounds the evaluations of
+    the EM map, each one E-step plus one M-step, which is also what
+    ``FitResult.n_iter`` counts.
+    """
 
     tol_loglik: float = 1e-8
     tol_param: float = 1e-6
@@ -107,12 +132,10 @@ class FitResult:
 
 # ------------------------------------------------------------ likelihood core
 
-def _profiled_components(packed: PackedData, params: ModelParams, gamma: np.ndarray) -> np.ndarray:
-    """(n, R) log-likelihood components with the hazard profiled at ``gamma``."""
-    w = gamma * np.exp(_survival.linear_predictors(params.theta, params.survival,
-                                                   packed.covariates))
-    steps = _survival.breslow_steps(packed, packed.suffix_sums(w @ np.ones(params.n_groups)))
-    return _loglik_components(packed, params, steps)
+def _e_step(packed: PackedData, params: ModelParams, jumps: np.ndarray):
+    """Observed log-likelihood and responsibilities at a hazard given by its jumps."""
+    comp = _loglik_components(packed, params, (jumps, np.cumsum(jumps)))
+    return _loglik_and_posterior(packed, comp)
 
 
 def e_step(data, params: ModelParams, hazard) -> Posterior:
@@ -130,10 +153,10 @@ def m_step_pi(posterior) -> np.ndarray:
 def observed_loglik(data, params: ModelParams, hazard) -> float:
     """Observed-data mixture log-likelihood at a given baseline hazard."""
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
-    value = float(logsumexp(_loglik_components(packed, params, hazard), axis=1).sum())
-    if not np.isfinite(value):
-        raise FloatingPointError("observed log-likelihood is not finite")
-    return value
+    try:
+        return _loglik_and_posterior(packed, _loglik_components(packed, params, hazard))[0]
+    except DegenerateSubjectError as err:
+        raise FloatingPointError("observed log-likelihood is not finite") from err
 
 
 # ------------------------------------------------------------ inner optimizer
@@ -154,6 +177,9 @@ class _MStepContext:
             layout.R, packed.n_items, packed.n_levels)
         self.wm = gamma.T @ packed.cells
         self.scale = 1.0 / n
+        # hazard jumps profiled by the last evaluation, and where it was made
+        self.last_y: np.ndarray | None = None
+        self.last_jumps: np.ndarray | None = None
 
     def neg_q_grad(self, y: np.ndarray):
         """Value and gradient of -Q/n at optimizer coordinates ``y``."""
@@ -168,13 +194,9 @@ class _MStepContext:
         d0, d1 = y[lay.idx_d0], y[lay.idx_d1]
 
         xs = b[None, :] + theta[:, None]
-        eta = a[None, None, :] + phi[None, None, :] * xs[:, :, None]
-        emax = eta.max(axis=2)
-        ee = np.exp(eta - emax[:, :, None])
-        sz = ee.sum(axis=2)
-        logz = emax + np.log(sz)
+        eta, logz = _ordinal._linear_predictor(a, phi, b, theta)
         q = float((self.wc * eta).sum() - (self.wm * logz).sum())
-        resid = self.wc - self.wm[:, :, None] * (ee / sz[:, :, None])
+        resid = self.wc - self.wm[:, :, None] * np.exp(eta - logz[:, :, None])
         resid_phi = resid @ phi
         grad = np.empty(lay.n_free)
         grad[lay.sl_a] = resid.sum(axis=(0, 1))[1:]
@@ -182,8 +204,9 @@ class _MStepContext:
         grad[lay.sl_phi] = (xs[:, :, None] * resid).sum(axis=(0, 1))[1:L - 1]
         grad[lay.sl_theta] = resid_phi.sum(axis=1)[1:]
 
-        q_surv, g_surv = _survival.profiled_loglik(self.packed, self.gamma, theta,
-                                                   SurvivalParams(d0, d1))
+        q_surv, g_surv, jumps = _survival.profiled_loglik(self.packed, self.gamma, theta,
+                                                          SurvivalParams(d0, d1))
+        self.last_y, self.last_jumps = y.copy(), jumps
         q += q_surv
         grad[lay.sl_theta] += g_surv[:lay.R - 1]
         grad[lay.idx_d0] = g_surv[lay.R - 1]
@@ -252,7 +275,7 @@ class _InnerOptimizer:
 def _m_step_theta_full(packed: PackedData, gamma: np.ndarray, params: ModelParams,
                        gtol: float = _INNER_GTOL, max_inner: int = 400,
                        optimizer: _InnerOptimizer | None = None):
-    """One M-step: returns (params, exit gradient sup-norm, reached-gtol flag)."""
+    """One M-step: returns the new parameters and the hazard jumps profiled there."""
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
     ctx = _MStepContext(packed, gamma, layout)
     opt = optimizer if optimizer is not None else _InnerOptimizer(layout.n_free)
@@ -260,26 +283,29 @@ def _m_step_theta_full(packed: PackedData, gamma: np.ndarray, params: ModelParam
     f0, g0 = ctx.neg_q_grad(y0)
     if not np.isfinite(f0):
         raise MStepError("objective is not finite at the entry point", params)
-    y, f, g, reached = opt.minimize(ctx.neg_q_grad, y0, gtol=gtol, max_iter=max_inner)
+    y, f, _, reached = opt.minimize(ctx.neg_q_grad, y0, gtol=gtol, max_iter=max_inner)
     if not reached:
-        # fall back to scipy's line-search quasi-Newton before giving up
+        # fall back to scipy's line-search quasi-Newton before giving up; imported
+        # here because scipy.optimize adds about 50 MB and 0.4 s to the package
+        # import, and this branch rarely runs
+        from scipy.optimize import minimize
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = minimize(ctx.neg_q_grad, y, jac=True, method="L-BFGS-B",
                            options={"maxiter": max_inner, "maxfun": 4 * max_inner,
                                     "ftol": 1e-15, "gtol": gtol})
         if np.isfinite(res.fun) and res.fun <= f:
-            y, f, g = res.x, float(res.fun), res.jac
-            reached = bool(np.max(np.abs(g)) <= gtol)
+            y, f = res.x, float(res.fun)
             opt.reset()
     if f > f0:
-        y, f, g = y0, f0, g0
-        reached = bool(np.max(np.abs(g0)) <= gtol)
+        y, f = y0, f0
         opt.reset()
         if np.max(np.abs(g0)) > 1e-4:
             raise MStepError("inner optimizer made no progress from a non-stationary point",
                              layout.unpack_opt(y0, params.pi))
-    return layout.unpack_opt(y, params.pi), float(np.max(np.abs(g))), reached
+    if not np.array_equal(ctx.last_y, y):
+        ctx.neg_q_grad(y)   # the fallback or the reversion left the last evaluated point
+    return layout.unpack_opt(y, params.pi), ctx.last_jumps
 
 
 def m_step_theta(data, posterior, params: ModelParams, config: EMConfig | None = None) -> ModelParams:
@@ -290,8 +316,7 @@ def m_step_theta(data, posterior, params: ModelParams, config: EMConfig | None =
     the entry point.  Mixture weights are untouched.
     """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
-    out, _, _ = _m_step_theta_full(packed, _gamma_of(posterior), params)
-    return out
+    return _m_step_theta_full(packed, _gamma_of(posterior), params)[0]
 
 
 def relabel_ascending(params: ModelParams, hazard: HazardSteps | None = None,
@@ -336,55 +361,111 @@ def draw_initial_params(rng: np.random.Generator, n_groups: int, n_levels: int,
     return ModelParams(theta, OrdinalParams(a, phi, b), delta, pi)
 
 
+# ------------------------------------------------------------ SQUAREM driver
+
+class _StopEM(RuntimeError):
+    """The EM map cannot go on from this point; the message is the restart status."""
+
+
+# evaluating F at an extrapolated state may fail in these ways; that rejects
+# the extrapolation and ends nothing
+_REJECTED = (DegenerateSubjectError, _survival.EmptyRiskSetError, MStepError,
+             FloatingPointError, _StopEM)
+
+
+def _pack_state(layout: ParamLayout, params: ModelParams, jumps: np.ndarray,
+                events: np.ndarray) -> np.ndarray:
+    """SQUAREM state: optimizer coordinates, logit pi against group 1, log jumps at event times."""
+    log_pi = np.log(params.pi)
+    return np.concatenate([layout.pack_opt(params), log_pi[1:] - log_pi[0],
+                           np.log(jumps[events])])
+
+
+def _unpack_state(layout: ParamLayout, x: np.ndarray, events: np.ndarray):
+    """Parameters and jumps of a state; FloatingPointError when a weight or jump
+    over- or underflows."""
+    n_opt, n_logit = layout.n_free, layout.R - 1
+    logit = np.concatenate([[0.0], x[n_opt:n_opt + n_logit]])
+    jumps = np.zeros(events.size)
+    with np.errstate(over="raise", under="raise"):
+        pi = np.exp(logit - logit.max())
+        jumps[events] = np.exp(x[n_opt + n_logit:])
+    return layout.unpack_opt(x[:n_opt], pi / pi.sum()), jumps
+
+
 def _em_single(packed: PackedData, params: ModelParams, config: EMConfig):
+    """One restart of SQUAREM-accelerated EM from ``params`` (see the module docstring).
+
+    Returns the last point whose E-step was taken, with its responsibilities.
+    """
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
-    gamma = np.tile(params.pi, (packed.n, 1))
-    comp = _profiled_components(packed, params, gamma)
-    trace = [float(logsumexp(comp, axis=1).sum())]
-    if not np.isfinite(trace[0]):
-        return {"params": params, "gamma": gamma, "trace": trace,
-                "converged": False, "n_iter": 0, "status": "non-finite start"}
-    x_prev = np.concatenate([layout.pack(params), params.pi])
+    events = packed.event_counts > 0
     optimizer = _InnerOptimizer(layout.n_free)
-    converged = False
-    status = "max_iter"
+    gamma = np.tile(params.pi, (packed.n, 1))
+    jumps = RiskSetTables(packed, gamma, params.theta, params.survival).jumps
+    try:
+        ll, gamma = _e_step(packed, params, jumps)
+    except DegenerateSubjectError:
+        return {"params": params, "gamma": gamma, "trace": [-np.inf],
+                "converged": False, "n_iter": 0, "status": "non-finite start"}
+    trace = [ll]
     n_iter = 0
-    for n_iter in range(1, config.max_iter + 1):
-        try:
-            gamma_new = _posterior_from_components(packed, comp)
-        except DegenerateSubjectError as err:
-            status = str(err)
-            break
-        colsum = gamma_new.sum(axis=0)
-        pi_new = colsum / packed.n
-        if colsum.min() < _COLLAPSE_MASS or pi_new.min() < _COLLAPSE_PI:
-            status = "component collapse"
-            break
-        params = ModelParams(params.theta, params.ordinal, params.survival, pi_new)
-        try:
-            params, _, _ = _m_step_theta_full(packed, gamma_new, params, max_inner=50,
-                                              optimizer=optimizer)
-        except MStepError as err:
-            params = err.best_params
-            status = "m-step failure"
-            break
-        gamma = gamma_new
-        comp = _profiled_components(packed, params, gamma)
-        ll_new = float(logsumexp(comp, axis=1).sum())
-        if not np.isfinite(ll_new):
-            status = "non-finite loglik"
-            break
-        trace.append(ll_new)
-        x_new = np.concatenate([layout.pack(params), params.pi])
-        d_ll = abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2]))
-        d_par = float(np.max(np.abs(x_new - x_prev)))
-        x_prev = x_new
-        if d_ll < config.tol_loglik and d_par < config.tol_param:
-            converged = True
-            status = "converged"
-            break
+    bound = _STEP_BOUND
+    status = "max_iter"
+    last = None
+
+    def advance(params, gamma):
+        """M-step half of the EM map at responsibilities ``gamma``: the next (params, jumps)."""
+        nonlocal n_iter
+        if n_iter >= config.max_iter:
+            raise _StopEM("max_iter")
+        n_iter += 1
+        colsum = np.ones(packed.n) @ gamma
+        pi = colsum / packed.n
+        if colsum.min() < _COLLAPSE_MASS or pi.min() < _COLLAPSE_PI:
+            raise _StopEM("component collapse")
+        params = ModelParams(params.theta, params.ordinal, params.survival, pi)
+        return _m_step_theta_full(packed, gamma, params, max_inner=50, optimizer=optimizer)
+
+    # (params, jumps, gamma) is always a point whose E-step gave trace[-1]
+    try:
+        while True:
+            natural = np.concatenate([layout.pack(params), params.pi])
+            if last is not None:
+                d_ll = abs(trace[-1] - last[0]) / max(1.0, abs(last[0]))
+                if d_ll < config.tol_loglik and np.max(np.abs(natural - last[1])) < config.tol_param:
+                    status = "converged"
+                    break
+            last = trace[-1], natural
+            x0 = _pack_state(layout, params, jumps, events)
+            step = advance(params, gamma)
+            ll1, gamma = _e_step(packed, *step)
+            params, jumps = step
+            trace.append(ll1)
+            x1 = _pack_state(layout, params, jumps, events)
+            step = advance(params, gamma)
+            r = x1 - x0
+            v = _pack_state(layout, *step, events) - 2.0 * x1 + x0
+            alpha = -np.sqrt((r @ r) / (v @ v)) if v @ v > 0 else -bound
+            alpha = min(-1.0, max(alpha, -bound))
+            if alpha == -bound:
+                bound *= _STEP_BOUND
+            try:
+                extrapolated = _unpack_state(layout, x0 - 2.0 * alpha * r + alpha ** 2 * v, events)
+                ll_x, gamma_x = _e_step(packed, *extrapolated)
+                if ll_x >= ll1:
+                    step = advance(extrapolated[0], gamma_x)
+                    (params, jumps), gamma = extrapolated, gamma_x
+                    trace.append(ll_x)
+            except _REJECTED:
+                pass    # keep x2, the plain EM step
+            ll, gamma = _e_step(packed, *step)
+            params, jumps = step
+            trace.append(ll)
+    except (DegenerateSubjectError, MStepError, _StopEM) as err:
+        status = "m-step failure" if isinstance(err, MStepError) else str(err)
     return {"params": params, "gamma": gamma, "trace": trace,
-            "converged": converged, "n_iter": n_iter, "status": status}
+            "converged": status == "converged", "n_iter": n_iter, "status": status}
 
 
 def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams | None = None,
@@ -452,10 +533,10 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
             if np.max(np.abs(scores.mean(axis=0))) <= _FIRST_ORDER_TOL:
                 break
             gtol /= 10.0
-            params, _, _ = _m_step_theta_full(packed, gamma, params, gtol=gtol)
+            params, _ = _m_step_theta_full(packed, gamma, params, gtol=gtol)
             params, _, gamma = relabel_ascending(params, None, gamma)
             tables = RiskSetTables(packed, gamma, params.theta, params.survival)
-            ll = float(logsumexp(_loglik_components(packed, params, tables), axis=1).sum())
+            ll, _ = _loglik_and_posterior(packed, _loglik_components(packed, params, tables))
             if ll >= trace[-1]:
                 trace.append(ll)
         scores = _inference.score_matrix(packed, params, gamma, tables)

@@ -7,6 +7,8 @@ the responsibilities it implies.  The hazard may take any form that
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import ordinal as _ordinal
@@ -31,15 +33,23 @@ def _loglik_components(packed: PackedData, params: ModelParams, hazard) -> np.nd
     return ll + np.log(params.pi)[None, :]
 
 
-def _posterior_from_components(packed: PackedData, comp: np.ndarray) -> np.ndarray:
-    rowmax = comp.max(axis=1)
-    if np.any(~np.isfinite(rowmax)):
+def _loglik_and_posterior(packed: PackedData, comp: np.ndarray) -> tuple[float, np.ndarray]:
+    """Observed log-likelihood sum_i log sum_r exp(comp[i, r]) and the responsibilities.
+
+    One pass over the (n, R) components: the row max is taken column by column
+    and the row sums as a BLAS product, because numpy's axis reductions over a
+    narrow array cost about ten times as much.
+    """
+    rowmax = functools.reduce(np.maximum, comp.T)
+    if not np.all(np.isfinite(rowmax)):
         bad = int(np.flatnonzero(~np.isfinite(rowmax))[0])
         raise DegenerateSubjectError(
             f"subject {packed.subject_ids[bad]!r}: zero density in every component")
     gamma = np.exp(comp - rowmax[:, None])
-    return gamma / gamma.sum(axis=1, keepdims=True)
+    total = gamma @ np.ones(comp.shape[1])
+    loglik = float(rowmax.sum() + np.log(total).sum())
+    return loglik, gamma / total[:, None]
 
 
 def _posterior_matrix(packed: PackedData, params: ModelParams, hazard) -> np.ndarray:
-    return _posterior_from_components(packed, _loglik_components(packed, params, hazard))
+    return _loglik_and_posterior(packed, _loglik_components(packed, params, hazard))[1]

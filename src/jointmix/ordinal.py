@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import DataError, PackedData, ResponseSet, _readonly
 
@@ -80,7 +79,7 @@ def ordinal_loglik(responses: ResponseSet, group_effect: float, params: OrdinalP
     if responses.n_cells == 0:
         return 0.0
     counts = responses.counts(params.n_items, params.n_levels)
-    eta, logz = _linear_predictor(params, np.asarray([group_effect]))
+    eta, logz = _linear_predictor(params.a, params.phi, params.b, np.asarray([group_effect]))
     return float(np.sum(counts * eta[0]) - counts.sum(axis=1) @ logz[0])
 
 
@@ -92,7 +91,7 @@ def ordinal_score(responses: ResponseSet, group_effect: float, params: OrdinalPa
     """
     L, J = params.n_levels, params.n_items
     counts = responses.counts(J, L)
-    eta, logz = _linear_predictor(params, np.asarray([group_effect]))
+    eta, logz = _linear_predictor(params.a, params.phi, params.b, np.asarray([group_effect]))
     probs = np.exp(eta[0] - logz[0][:, None])
     resid = counts - counts.sum(axis=1, keepdims=True) * probs
     x = params.b + group_effect
@@ -103,11 +102,12 @@ def ordinal_score(responses: ResponseSet, group_effect: float, params: OrdinalPa
     return np.concatenate([d_a, d_b, d_phi, [d_theta]])
 
 
-def _linear_predictor(params: OrdinalParams, theta: np.ndarray):
+def _linear_predictor(a: np.ndarray, phi: np.ndarray, b: np.ndarray, theta: np.ndarray):
     """Tables eta[r, j, l] = a[l] + phi[l] (b[j] + theta[r]) and their row log-normalizers."""
-    x = params.b[None, :] + theta[:, None]
-    eta = params.a[None, None, :] + params.phi[None, None, :] * x[:, :, None]
-    logz = logsumexp(eta, axis=2)
+    x = b[None, :] + theta[:, None]
+    eta = a[None, None, :] + phi[None, None, :] * x[:, :, None]
+    emax = eta.max(axis=2)
+    logz = emax + np.log(np.exp(eta - emax[:, :, None]).sum(axis=2))
     return eta, logz
 
 
@@ -115,7 +115,7 @@ def loglik_matrix(packed: PackedData, params: OrdinalParams, theta: np.ndarray) 
     """Per-subject, per-group ordinal log-likelihoods as an (n, R) matrix."""
     if packed.n_levels != params.n_levels or packed.n_items > params.n_items:
         raise DataError("data dimensions do not match the ordinal parameters")
-    eta, logz = _linear_predictor(params, theta)
+    eta, logz = _linear_predictor(params.a, params.phi, params.b, theta)
     eta = eta[:, :packed.n_items]
     logz = logz[:, :packed.n_items]
     n, r = packed.n, theta.size
@@ -134,7 +134,7 @@ def weighted_score_parts(packed: PackedData, params: OrdinalParams, theta: np.nd
     is formed and gamma rows need not sum to one.
     """
     L = params.n_levels
-    eta, logz = _linear_predictor(params, theta)
+    eta, logz = _linear_predictor(params.a, params.phi, params.b, theta)
     probs = np.exp(eta - logz[:, :, None])                       # (R, J, L)
     x = params.b[None, :] + theta[:, None]                       # (R, J)
     counts, cells, phi = packed.counts, packed.cells, params.phi

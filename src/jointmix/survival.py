@@ -121,9 +121,10 @@ class RiskSetTables:
         self.n = packed.n
 
         w = gamma * np.exp(linear_predictors(theta, delta, packed.covariates))
+        ones = np.ones(theta.size)                # row sums as BLAS products
         s0_group = packed.suffix_sums(w)          # (K, R)
-        s0 = s0_group.sum(axis=1)
-        s0_x = packed.suffix_sums(w.sum(axis=1) * packed.covariates)
+        s0 = s0_group @ ones
+        s0_x = packed.suffix_sums((w @ ones) * packed.covariates)
         self.jumps, self.cum_jumps = breslow_steps(packed, s0)
 
         self.m0_group = s0_group / packed.n
@@ -255,11 +256,11 @@ def profiled_loglik(packed: PackedData, gamma: np.ndarray, theta: np.ndarray,
                     delta: SurvivalParams):
     """Summed profiled survival objective with its gradient over [theta free, d0, d1].
 
-    Returns ``(value, grad)``: value is sum_ir gamma_ir log P(T_i, d_i | r) at
-    the hazard profiled from ``gamma``.  At the profiling maximizer the
-    partial derivatives through the hazard jumps cancel in the dataset sum,
-    so only the direct terms sum_ir gamma_ir v_r (d_i - exp(lp_ir) Lambda(T_i))
-    remain.
+    Returns ``(value, grad, jumps)``: value is sum_ir gamma_ir log P(T_i, d_i | r) at
+    the hazard profiled from ``gamma``, whose jumps on the packed distinct-time
+    grid are ``jumps``.  At the profiling maximizer the partial derivatives
+    through the hazard jumps cancel in the dataset sum, so only the direct
+    terms sum_ir gamma_ir v_r (d_i - exp(lp_ir) Lambda(T_i)) remain.
     """
     lp = linear_predictors(theta, delta, packed.covariates)
     w = gamma * np.exp(lp)
@@ -276,14 +277,14 @@ def profiled_loglik(packed: PackedData, gamma: np.ndarray, theta: np.ndarray,
     value = float(packed.event_counts[ev] @ np.log(jumps[ev]) + (d @ (gamma * lp)).sum()
                   - w_cum.sum())
     grad = np.concatenate([delta.delta0 * core[1:], [theta @ core, core_x.sum()]])
-    return value, grad
+    return value, grad, jumps
 
 
 def _score_pieces(packed: PackedData, gamma: np.ndarray, tables: RiskSetTables):
     theta, delta = tables.theta, tables.delta
     lp = linear_predictors(theta, delta, packed.covariates)
     ge = gamma * np.exp(lp)                       # gamma_r exp(lp_r)
-    total = ge.sum(axis=1)
+    total = ge @ np.ones(theta.size)
     k = packed.time_index
     cum = tables.cum_jumps[k]
     return theta, delta, ge, total, k, cum

@@ -8,7 +8,8 @@ from jointmix import (EMConfig, HazardSteps, ModelParams, OrdinalParams, ParamLa
                       observed_loglik, ordinal_loglik, profile_hazard, relabel_ascending,
                       survival_loglik)
 from jointmix.data import PackedData
-from jointmix.em import _MStepContext, draw_initial_params
+from jointmix.survival import RiskSetTables
+from jointmix.em import _m_step_theta_full, _MStepContext, draw_initial_params
 from jointmix.simulation import (ConstantBaseline, NoCensoring, SimDesign, UniformCensoring,
                                  default_design, generate_dataset)
 
@@ -154,6 +155,18 @@ class TestMStepTheta:
             exit_val = ctx.neg_q_grad(layout.pack_opt(fitted))[0]
             assert exit_val <= entry + 1e-12
 
+    @pytest.mark.parametrize("max_inner", [1, 400])
+    def test_returned_jumps_are_profiled_at_the_exit_point(self, max_inner):
+        # max_inner=1 leaves BFGS short of gtol, so the L-BFGS-B fallback picks the exit
+        rng = np.random.default_rng(8)
+        for trial in range(5):
+            params = random_params(rng, 2, 3, 2)
+            packed = PackedData.coerce(small_dataset(rng, 15, two_group_params()), 3, 2)
+            gamma = random_gamma(rng, 15, 2)
+            fitted, jumps = _m_step_theta_full(packed, gamma, params, max_inner=max_inner)
+            tables = RiskSetTables(packed, gamma, fitted.theta, fitted.survival)
+            np.testing.assert_allclose(jumps, tables.jumps, rtol=1e-12, atol=0)
+
     def test_pi_untouched(self):
         rng = np.random.default_rng(7)
         params = two_group_params(pi=(0.25, 0.75))
@@ -246,6 +259,21 @@ class TestEmFit:
         fit = em_fit(records, 2, EMConfig(n_restarts=1, max_iter=120, seed=1))
         assert np.all(np.diff(fit.loglik_trace) >= -1e-10)
         Posterior(fit.posterior.gamma)  # revalidates the invariants
+        assert np.all(np.diff(fit.params.theta) >= 0)
+
+    def test_three_group_trace_monotone_and_posterior_valid(self):
+        # extrapolated SQUAREM steps move three weights and two theta gaps at once
+        params = ModelParams(np.array([0.0, 1.5, 3.0]),
+                             OrdinalParams(np.array([0.0, 0.3, -0.2]), np.array([0.0, 0.5, 1.0]),
+                                           np.array([0.0, 0.4])),
+                             SurvivalParams(0.6, -0.4), np.array([0.3, 0.4, 0.3]))
+        design = SimDesign(n=150, params=params, n_time_points=3, baseline=ConstantBaseline(0.15),
+                           censoring=UniformCensoring(10.0), seed=9)
+        records, _ = generate_dataset(design)
+        fit = em_fit(records, 3, EMConfig(n_restarts=1, max_iter=80, seed=4))
+        assert fit.n_iter <= 80
+        assert np.all(np.diff(fit.loglik_trace) >= -1e-10)
+        Posterior(fit.posterior.gamma)
         assert np.all(np.diff(fit.params.theta) >= 0)
 
     def test_single_group_consistency(self):

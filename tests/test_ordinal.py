@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from jointmix import OrdinalParams, category_probs, ordinal_loglik, ordinal_score
 from jointmix.data import DataError
+from jointmix.ordinal import _linear_predictor
 
 from conftest import make_responses, random_params
 
@@ -53,6 +55,18 @@ class TestCategoryProbs:
     def test_nonfinite_effect(self):
         with pytest.raises(ValueError):
             category_probs(1, np.inf, params_l3())
+
+
+class TestLinearPredictor:
+    def test_normalizer_matches_scipy_logsumexp(self):
+        rng = np.random.default_rng(3)
+        a = np.concatenate([[0.0], rng.normal(0, 200, 4)])
+        phi = np.array([0.0, 0.2, 0.5, 0.9, 1.0])
+        b = np.concatenate([[0.0], rng.normal(0, 300, 2)])
+        theta = np.array([0.0, -400.0, 700.0])
+        eta, logz = _linear_predictor(a, phi, b, theta)
+        assert eta.shape == (3, 3, 5)
+        np.testing.assert_allclose(logz, logsumexp(eta, axis=2), rtol=1e-14)
 
 
 class TestOrdinalParamsInvariants:

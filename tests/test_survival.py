@@ -469,11 +469,12 @@ class TestEnvelopeGradient:
     def test_matches_full_score_sum(self):
         packed, gamma, theta, delta, tables = envelope_case(13)
         full = profile_scores(packed, gamma, tables).sum(axis=0)
-        _, envelope = profiled_loglik(packed, gamma, theta, delta)
+        _, envelope, _ = profiled_loglik(packed, gamma, theta, delta)
         np.testing.assert_allclose(full, envelope, rtol=1e-9, atol=1e-9)
 
     def test_value_is_weighted_loglik_matrix_sum(self):
         packed, gamma, theta, delta, tables = envelope_case(14)
-        value, _ = profiled_loglik(packed, gamma, theta, delta)
+        value, _, jumps = profiled_loglik(packed, gamma, theta, delta)
         expected = (gamma * loglik_matrix(packed, tables, theta, delta)).sum()
         assert value == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(jumps, tables.jumps, rtol=1e-12, atol=0)
