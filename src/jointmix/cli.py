@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import inference as _inference
-from .data import DataError, ResponseSet, SubjectRecord, SurvivalRecord
+from .data import DataError, PackedData, ResponseSet, SubjectRecord, SurvivalRecord
 from .em import EMConfig, DegenerateSubjectError, MStepError, em_fit
 from .ordinal import OrdinalParams
 from .params import ModelParams, ParamLayout
@@ -353,12 +353,13 @@ def _cmd_check(args) -> int:
         raise DataError("params file must include the true baseline for the checks")
     baseline = baseline_from_dict(baseline_doc)
 
-    gamma, tables = _inference.fixed_point_posterior(records, params)
-    equivalence = _inference.efficient_score_equivalence(records, params, gamma)
-    contraction = _inference.contraction_check(records, params, tables.hazard_steps())
-    directions = _inference.default_directions(records)
-    ortho = _inference.orthogonality_check(records, params, directions, baseline)
-    identity = _inference.info_identity_check(records, params)
+    packed = PackedData(records, params.n_levels, params.n_items)
+    gamma, tables = _inference.fixed_point_posterior(packed, params)
+    equivalence = _inference.efficient_score_equivalence(packed, params, gamma)
+    contraction = _inference.contraction_check(packed, params, tables.hazard_steps())
+    directions = _inference.default_directions(packed)
+    ortho = _inference.orthogonality_check(packed, params, directions, baseline)
+    identity = _inference.info_identity_check(packed, params)
 
     checks = {
         "efficient_score_equivalence": {

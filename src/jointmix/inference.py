@@ -12,7 +12,7 @@ import numpy as np
 from . import ordinal as _ordinal
 from . import survival as _survival
 from .data import PackedData, SubjectRecord
-from .likelihood import _gamma_of, _posterior_matrix
+from .likelihood import _gamma_of, _loglik_and_posterior, _posterior_matrix
 from .params import ModelParams, ParamLayout
 from .survival import HazardSteps, RiskSetTables
 
@@ -148,22 +148,36 @@ def fixed_point_posterior(data, params: ModelParams, gamma0: np.ndarray | None =
 
     The profiled hazard depends on the responsibilities and vice versa;
     iterating the pair converges under the contraction condition checked by
-    :func:`contraction_check`.  Returns ``(gamma, tables)`` with the tables
-    built from the final responsibilities.
+    :func:`contraction_check`.  Iteration stops once no responsibility moves
+    by ``tol`` or more, and warns after ``max_iter`` steps without that.
+    Returns ``(gamma, tables)`` with the tables built from the final
+    responsibilities.
+
+    The ordinal log-likelihoods, d_i lp_ir, log pi_r and exp(lp_ir) do not
+    change while the parameters are fixed, so they are formed once; each
+    step takes the risk-set sums and the cumulative hazard only.  The event
+    term d_i log dLambda(T_i) is the same in every group and cancels from the
+    responsibilities, so it is left out of the per-step components.
     """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
+    theta, delta = params.theta, params.survival
+    lp = _survival.linear_predictors(theta, delta, packed.covariates)
+    e = np.exp(lp)
+    fixed = (_ordinal.loglik_matrix(packed, params.ordinal, theta)
+             + packed.events[:, None] * lp + np.log(params.pi)[None, :])
+    ones = np.ones(theta.size)
+    k = packed.time_index
     gamma = np.tile(params.pi, (packed.n, 1)) if gamma0 is None else np.array(gamma0, dtype=float)
     for _ in range(max_iter):
-        tables = RiskSetTables(packed, gamma, params.theta, params.survival)
-        gamma_new = _posterior_matrix(packed, params, tables)
+        _, cum = _survival.breslow_steps(packed, packed.suffix_sums((gamma * e) @ ones))
+        _, gamma_new = _loglik_and_posterior(packed, fixed - cum[k][:, None] * e)
         step = float(np.max(np.abs(gamma_new - gamma)))
         gamma = gamma_new
         if step < tol:
             break
     else:
         warnings.warn("responsibility fixed point did not converge", RuntimeWarning, stacklevel=2)
-    tables = RiskSetTables(packed, gamma, params.theta, params.survival)
-    return gamma, tables
+    return gamma, RiskSetTables(packed, gamma, theta, delta)
 
 
 def mean_profile_score(data, params: ModelParams, gamma0: np.ndarray | None = None) -> np.ndarray:
@@ -314,7 +328,7 @@ def orthogonality_check(data, params: ModelParams, directions, baseline) -> list
     scores = _assemble_scores(packed, params, gamma, surv)
 
     lp = _survival.linear_predictors(params.theta, params.survival, packed.covariates)
-    total_e = (gamma * np.exp(lp)).sum(axis=1)
+    total_e = (gamma * np.exp(lp)) @ np.ones(params.n_groups)
     stats = []
     for h in directions:
         bh = packed.events * h(packed.times) - total_e * h.integral(packed.times, baseline)
@@ -365,7 +379,7 @@ def contraction_check(data, params: ModelParams, hazard: HazardSteps) -> Contrac
         raise ValueError("total hazard mass on (0, t_max] is zero; bound undefined")
     gamma = _posterior_matrix(packed, params, hazard)
     e = np.exp(_survival.linear_predictors(params.theta, params.survival, packed.covariates))
-    avg = (gamma * e).sum(axis=1)
+    avg = (gamma * e) @ np.ones(params.n_groups)
     max_lhs = float(np.max(np.abs(avg[:, None] - e)))
     bound = 1.0 / mass
     return ContractionCheck(max_lhs, bound, max_lhs < bound)

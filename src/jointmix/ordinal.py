@@ -138,7 +138,7 @@ def weighted_score_parts(packed: PackedData, params: OrdinalParams, theta: np.nd
     probs = np.exp(eta - logz[:, :, None])                       # (R, J, L)
     x = params.b[None, :] + theta[:, None]                       # (R, J)
     counts, cells, phi = packed.counts, packed.cells, params.phi
-    weight = gamma.sum(axis=1)[:, None]
+    weight = (gamma @ np.ones(gamma.shape[1]))[:, None]
     counts_phi = counts @ phi                                    # (n, J)
     # sum_r gamma_ir sum_j cells_ij probs_rjl, plain and weighted by x_rj
     expected = np.einsum("ir,ril->il", gamma, cells @ probs)

@@ -8,6 +8,7 @@ divided by the posterior-weighted risk-set total.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,12 +108,18 @@ class RiskSetTables:
     Holds the profiled hazard together with the empirical M0/M1 tables and
     the prefix sums of (M1/M0) dLambda needed by the score functions.  All
     tables are indexed by the packed dataset's distinct observed times.
+
+    Only what needs ``gamma`` is computed at construction: ``jumps``,
+    ``m0_group`` and ``m0_x``.  ``cum_jumps``, ``m0``, the ``ratio_*`` and the
+    ``int_*`` tables are derived from those on first read and then kept, so a
+    caller that only wants the hazard pays for the risk-set sums alone.  No
+    reference to ``gamma`` is kept.
     """
 
     def __init__(self, packed: PackedData, gamma: np.ndarray, theta: np.ndarray,
                  delta: SurvivalParams):
         gamma = np.asarray(gamma, dtype=float)
-        theta = np.asarray(theta, dtype=float)
+        theta = _readonly(theta, float)
         if gamma.shape != (packed.n, theta.size):
             raise ValueError(f"gamma must have shape ({packed.n}, {theta.size})")
         self.theta = theta
@@ -123,22 +130,46 @@ class RiskSetTables:
         w = gamma * np.exp(linear_predictors(theta, delta, packed.covariates))
         ones = np.ones(theta.size)                # row sums as BLAS products
         s0_group = packed.suffix_sums(w)          # (K, R)
-        s0 = s0_group @ ones
         s0_x = packed.suffix_sums((w @ ones) * packed.covariates)
-        self.jumps, self.cum_jumps = breslow_steps(packed, s0)
-
+        self.jumps, _ = breslow_steps(packed, s0_group @ ones)
         self.m0_group = s0_group / packed.n
-        self.m0 = s0 / packed.n
         self.m0_x = s0_x / packed.n
 
-        safe_m0 = np.where(self.m0 > 0, self.m0, 1.0)
-        self.ratio_theta = delta.delta0 * self.m0_group / safe_m0[:, None]   # (K, R)
-        self.ratio_d0 = (self.m0_group @ theta) / safe_m0                   # (K,)
-        self.ratio_d1 = self.m0_x / safe_m0                                  # (K,)
-        jl = self.jumps[:, None]
-        self.int_theta = np.cumsum(jl * self.ratio_theta, axis=0)
-        self.int_d0 = np.cumsum(self.jumps * self.ratio_d0)
-        self.int_d1 = np.cumsum(self.jumps * self.ratio_d1)
+    @functools.cached_property
+    def cum_jumps(self) -> np.ndarray:
+        return np.cumsum(self.jumps)
+
+    @functools.cached_property
+    def m0(self) -> np.ndarray:
+        return self.m0_group @ np.ones(self.theta.size)
+
+    @functools.cached_property
+    def _safe_m0(self) -> np.ndarray:
+        return np.where(self.m0 > 0, self.m0, 1.0)
+
+    @functools.cached_property
+    def ratio_theta(self) -> np.ndarray:
+        return self.delta.delta0 * self.m0_group / self._safe_m0[:, None]  # (K, R)
+
+    @functools.cached_property
+    def ratio_d0(self) -> np.ndarray:
+        return (self.m0_group @ self.theta) / self._safe_m0  # (K,)
+
+    @functools.cached_property
+    def ratio_d1(self) -> np.ndarray:
+        return self.m0_x / self._safe_m0  # (K,)
+
+    @functools.cached_property
+    def int_theta(self) -> np.ndarray:
+        return np.cumsum(self.jumps[:, None] * self.ratio_theta, axis=0)
+
+    @functools.cached_property
+    def int_d0(self) -> np.ndarray:
+        return np.cumsum(self.jumps * self.ratio_d0)
+
+    @functools.cached_property
+    def int_d1(self) -> np.ndarray:
+        return np.cumsum(self.jumps * self.ratio_d1)
 
     def hazard_steps(self) -> HazardSteps:
         return HazardSteps(self.times, self.jumps)

@@ -151,6 +151,23 @@ class TestCheck:
         assert doc["efficient_score_equivalence"]["max_relative_gap"] <= 1e-8
         assert len(doc["orthogonality"]["directions"]) == 6
 
+    def test_check_packs_the_data_once(self, sim_dir, tmp_path, monkeypatch):
+        from jointmix.data import PackedData
+        built = []
+        init = PackedData.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PackedData, "__init__", counting_init)
+        code = main(["check", "--ordinal", str(sim_dir / "ordinal.csv"),
+                     "--survival", str(sim_dir / "survival.csv"),
+                     "--params", str(sim_dir / "truth.json"),
+                     "--out", str(tmp_path / "checks")])
+        assert code == 0
+        assert len(built) == 1
+
     def test_missing_baseline_exits_1(self, sim_dir, tmp_path):
         params = json.loads((sim_dir / "truth.json").read_text())["params"]
         params.pop("baseline", None)

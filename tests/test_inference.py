@@ -297,7 +297,43 @@ class TestContraction:
             contraction_check(records, params, empty)
 
 
+def fixed_point_oracle(packed, params, gamma0=None, tol=1e-12, max_iter=500):
+    """Reference solve: full tables and the complete posterior at every step."""
+    from jointmix.likelihood import _posterior_matrix
+    gamma = np.tile(params.pi, (packed.n, 1)) if gamma0 is None else np.array(gamma0)
+    for _ in range(max_iter):
+        tables = RiskSetTables(packed, gamma, params.theta, params.survival)
+        gamma_new = _posterior_matrix(packed, params, tables)
+        step = np.max(np.abs(gamma_new - gamma))
+        gamma = gamma_new
+        if step < tol:
+            break
+    return gamma, RiskSetTables(packed, gamma, params.theta, params.survival)
+
+
 class TestFixedPoint:
+    @pytest.mark.parametrize("n_groups", [2, 3])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_matches_full_recomputation_oracle(self, n_groups, warm):
+        params, records, gamma_warm = dataset_and_gamma(90 + n_groups, n=60, n_groups=n_groups,
+                                                        n_levels=4, n_items=3)
+        packed = PackedData.coerce(records, 4, 3)
+        gamma0 = gamma_warm if warm else None
+        gamma, tables = fixed_point_posterior(packed, params, gamma0)
+        gamma_ref, tables_ref = fixed_point_oracle(packed, params, gamma0)
+        np.testing.assert_allclose(gamma, gamma_ref, rtol=0, atol=1e-12)
+        for name in ("jumps", "cum_jumps", "int_theta", "int_d0", "int_d1"):
+            np.testing.assert_allclose(getattr(tables, name), getattr(tables_ref, name),
+                                       rtol=1e-12, atol=1e-15, err_msg=name)
+
+    def test_iteration_budget_exhausted_warns(self):
+        params, records, _ = dataset_and_gamma(94, n=30)
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            gamma, _ = fixed_point_posterior(records, params, max_iter=1)
+        packed = PackedData.coerce(records, 3, 2)
+        gamma_ref, _ = fixed_point_oracle(packed, params, max_iter=1)
+        np.testing.assert_allclose(gamma, gamma_ref, rtol=0, atol=1e-12)
+
     def test_consistency_of_fixed_point(self):
         params, records, _ = dataset_and_gamma(80, n=40)
         gamma, tables = fixed_point_posterior(records, params)

@@ -63,6 +63,48 @@ class TestRiskAggregates:
             risk_aggregates(5.0, records, np.ones((2, 1)), np.array([0.0]), SurvivalParams(0.0, 0.0))
 
 
+class TestRiskSetTables:
+    DERIVED = ("cum_jumps", "m0", "ratio_theta", "ratio_d0", "ratio_d1",
+               "int_theta", "int_d0", "int_d1")
+
+    @staticmethod
+    def draw(seed, n=25, n_groups=3):
+        rng = np.random.default_rng(seed)
+        times = rng.choice([0.4, 1.0, 1.7, 2.5, 3.0, 4.2], size=n)
+        records = survival_only(times, rng.integers(0, 2, n), rng.normal(0, 1, n))
+        gamma = random_gamma(rng, n, n_groups)
+        theta = np.concatenate([[0.0], np.sort(rng.normal(0, 1, n_groups - 1))])
+        return records, gamma, theta, SurvivalParams(0.7, -0.4)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_risk_aggregates_at_each_distinct_time(self, seed):
+        records, gamma, theta, delta = self.draw(seed)
+        tables = risk_set_tables(records, gamma, theta, delta)
+        for k, t in enumerate(tables.times):
+            m0, m1 = risk_aggregates(t, records, gamma, theta, delta)
+            assert tables.m0[k] == pytest.approx(m0, rel=1e-13)
+            assert tables.m0_group[k].sum() == pytest.approx(m0, rel=1e-13)
+            assert tables.m0_group[k] @ theta == pytest.approx(m1[1], rel=1e-13, abs=1e-15)
+            assert tables.m0_x[k] == pytest.approx(m1[2], rel=1e-13, abs=1e-15)
+            assert tables.ratio_theta[k].sum() == pytest.approx(m1[0] / m0, rel=1e-13)
+            assert tables.ratio_d0[k] == pytest.approx(m1[1] / m0, rel=1e-13, abs=1e-15)
+            assert tables.ratio_d1[k] == pytest.approx(m1[2] / m0, rel=1e-13, abs=1e-15)
+
+    def test_tables_ignore_later_changes_to_gamma(self):
+        records, gamma, theta, delta = self.draw(3)
+        packed = PackedData.coerce(records)
+        reference = risk_set_tables(packed, gamma.copy(), theta, delta)
+        expected = {name: np.array(getattr(reference, name))
+                    for name in ("jumps", "m0_group", "m0_x") + self.DERIVED}
+        tables = risk_set_tables(packed, gamma, theta, delta)
+        first_read = tables.ratio_theta.copy()    # one derived table read before the change
+        gamma[:] = gamma[::-1] * 3.0
+        theta[1:] += 1.0
+        np.testing.assert_array_equal(tables.ratio_theta, first_read)
+        for name, want in expected.items():
+            np.testing.assert_array_equal(getattr(tables, name), want, err_msg=name)
+
+
 @st.composite
 def tied_survival_data(draw, max_n=15):
     """Small dataset whose times come from a few values, so ties are common."""
