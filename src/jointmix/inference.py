@@ -107,14 +107,9 @@ def information_matrix(data, params: ModelParams, posterior,
     n = scores.shape[0]
     m = scores.T @ scores / n
     m = (m + m.T) / 2.0
-    eigs = np.linalg.eigvalsh(m)
-    top = float(eigs[-1])
-    bottom = float(eigs[0])
-    if top <= 0:
-        condition = np.inf if bottom <= 0 else 1.0
-    else:
-        condition = np.inf if bottom <= 0 else top / bottom
-    return InfoMatrix(m, float(condition))
+    eigs = np.linalg.eigvalsh(m)                  # ascending
+    condition = np.inf if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
+    return InfoMatrix(m, condition)
 
 
 def standard_errors(info: InfoMatrix, n: int) -> np.ndarray:

@@ -140,11 +140,13 @@ def weighted_score_parts(packed: PackedData, params: OrdinalParams, theta: np.nd
     counts, cells, phi = packed.counts, packed.cells, params.phi
     weight = (gamma @ np.ones(gamma.shape[1]))[:, None]
     counts_phi = counts @ phi                                    # (n, J)
+    # exact in any summation order: the counts are integers
+    level_totals = np.einsum("ijl->il", counts)                  # (n, L)
     # sum_r gamma_ir sum_j cells_ij probs_rjl, plain and weighted by x_rj
     expected = np.einsum("ir,ril->il", gamma, cells @ probs)
     expected_x = np.einsum("ir,ril->il", gamma, cells @ (x[:, :, None] * probs))
-    d_theta = gamma * (counts_phi.sum(axis=1)[:, None] - cells @ (probs @ phi).T)
-    d_a = weight * counts.sum(axis=1) - expected
+    d_theta = gamma * ((level_totals @ phi)[:, None] - cells @ (probs @ phi).T)
+    d_a = weight * level_totals - expected
     d_b = weight * counts_phi - cells * (gamma @ (probs @ phi))
     d_phi = np.einsum("ij,ijl->il", gamma @ x, counts) - expected_x
     return d_theta[:, 1:], d_a[:, 1:], d_b[:, 1:], d_phi[:, 1:L - 1]

@@ -105,15 +105,19 @@ def breslow_steps(packed: PackedData, s0: np.ndarray) -> tuple[np.ndarray, np.nd
 class RiskSetTables:
     """Dataset-wide aggregates for one parameter point, shared read-only.
 
-    Holds the profiled hazard together with the empirical M0/M1 tables and
-    the prefix sums of (M1/M0) dLambda needed by the score functions.  All
-    tables are indexed by the packed dataset's distinct observed times.
+    Holds the profiled hazard and the empirical M0/M1 tables the score
+    functions need, indexed by the packed dataset's distinct observed times.
 
     Only what needs ``gamma`` is computed at construction: ``jumps``,
-    ``m0_group`` and ``m0_x``.  ``cum_jumps``, ``m0``, the ``ratio_*`` and the
-    ``int_*`` tables are derived from those on first read and then kept, so a
-    caller that only wants the hazard pays for the risk-set sums alone.  No
-    reference to ``gamma`` is kept.
+    ``m0_group`` (M0 per group) and ``m0_x`` (M0 weighted by X).  No
+    reference to ``gamma`` is kept.  ``cum_jumps``, ``m0``, ``ratio`` and
+    ``int_ratio`` are derived from those on first read and then kept, so a
+    caller that only wants the hazard pays for the risk-set sums alone.
+
+    ``ratio[k]`` is M1/M0 at the k-th time in the score layout
+    [theta[2..R], delta0, delta1]: delta0 M0_r / M0 for r = 2..R, then
+    sum_r theta_r M0_r / M0, then M0_x / M0.  ``int_ratio[k]`` is the
+    integral of ``ratio`` against the profiled hazard up to that time.
     """
 
     def __init__(self, packed: PackedData, gamma: np.ndarray, theta: np.ndarray,
@@ -125,7 +129,6 @@ class RiskSetTables:
         self.theta = theta
         self.delta = delta
         self.times = packed.distinct_times
-        self.n = packed.n
 
         w = gamma * np.exp(linear_predictors(theta, delta, packed.covariates))
         ones = np.ones(theta.size)                # row sums as BLAS products
@@ -144,32 +147,15 @@ class RiskSetTables:
         return self.m0_group @ np.ones(self.theta.size)
 
     @functools.cached_property
-    def _safe_m0(self) -> np.ndarray:
-        return np.where(self.m0 > 0, self.m0, 1.0)
+    def ratio(self) -> np.ndarray:
+        safe_m0 = np.where(self.m0 > 0, self.m0, 1.0)
+        m1 = np.column_stack([self.delta.delta0 * self.m0_group[:, 1:],
+                              self.m0_group @ self.theta, self.m0_x])
+        return m1 / safe_m0[:, None]              # (K, R+1)
 
     @functools.cached_property
-    def ratio_theta(self) -> np.ndarray:
-        return self.delta.delta0 * self.m0_group / self._safe_m0[:, None]  # (K, R)
-
-    @functools.cached_property
-    def ratio_d0(self) -> np.ndarray:
-        return (self.m0_group @ self.theta) / self._safe_m0  # (K,)
-
-    @functools.cached_property
-    def ratio_d1(self) -> np.ndarray:
-        return self.m0_x / self._safe_m0  # (K,)
-
-    @functools.cached_property
-    def int_theta(self) -> np.ndarray:
-        return np.cumsum(self.jumps[:, None] * self.ratio_theta, axis=0)
-
-    @functools.cached_property
-    def int_d0(self) -> np.ndarray:
-        return np.cumsum(self.jumps * self.ratio_d0)
-
-    @functools.cached_property
-    def int_d1(self) -> np.ndarray:
-        return np.cumsum(self.jumps * self.ratio_d1)
+    def int_ratio(self) -> np.ndarray:
+        return np.cumsum(self.jumps[:, None] * self.ratio, axis=0)
 
     def hazard_steps(self) -> HazardSteps:
         return HazardSteps(self.times, self.jumps)
@@ -311,44 +297,46 @@ def profiled_loglik(packed: PackedData, gamma: np.ndarray, theta: np.ndarray,
     return value, grad, jumps
 
 
-def _score_pieces(packed: PackedData, gamma: np.ndarray, tables: RiskSetTables):
-    theta, delta = tables.theta, tables.delta
-    lp = linear_predictors(theta, delta, packed.covariates)
-    ge = gamma * np.exp(lp)                       # gamma_r exp(lp_r)
+def _group_sums(packed: PackedData, gamma: np.ndarray, tables: RiskSetTables):
+    """Per-subject ``(gv, gev, total)`` for the survival score kernels.
+
+    gv = sum_r gamma_r v_r and gev = sum_r gamma_r exp(lp_r) v_r in the layout
+    [theta[2..R], delta0, delta1], with v_r = (delta0 e_r, theta_r, X), and
+    total = sum_r gamma_r exp(lp_r).  The delta1 column of gv is X itself.
+    """
+    theta, delta, x = tables.theta, tables.delta, packed.covariates
+    ge = gamma * np.exp(linear_predictors(theta, delta, x))
     total = ge @ np.ones(theta.size)
-    k = packed.time_index
-    cum = tables.cum_jumps[k]
-    return theta, delta, ge, total, k, cum
+    gv = np.column_stack([delta.delta0 * gamma[:, 1:], gamma @ theta, x])
+    gev = np.column_stack([delta.delta0 * ge[:, 1:], ge @ theta, x * total])
+    return gv, gev, total
 
 
 def profile_scores(packed: PackedData, gamma: np.ndarray, tables: RiskSetTables) -> np.ndarray:
     """Per-subject survival profile scores over [theta[2..R], delta0, delta1].
 
-    Assembled as the derivative of the per-observation profiled
-    log-likelihood: the event term differentiates log lambda-hat(T) through
-    -M1/M0, and the exp term differentiates Lambda-hat through the prefix
-    integral of (M1/M0) dLambda-hat, with the posterior held constant.
+    d [gv - M1/M0(T)] - gev Lambda-hat(T) + total Int_0^T (M1/M0) dLambda-hat
+    (gv, gev and total as in :func:`_group_sums`): the derivative of the
+    per-observation profiled log-likelihood with the posterior held constant.
+    The event term differentiates log lambda-hat(T) through -M1/M0, and the
+    exp term differentiates Lambda-hat through ``tables.int_ratio``.
     """
-    theta, delta, ge, total, k, cum = _score_pieces(packed, gamma, tables)
-    d = packed.events
-    x = packed.covariates
-    R = theta.size
+    gv, gev, total = _group_sums(packed, gamma, tables)
+    k = packed.time_index
+    return (packed.events[:, None] * (gv - tables.ratio[k])
+            - gev * tables.cum_jumps[k][:, None] + total[:, None] * tables.int_ratio[k])
 
-    score_theta = (gamma * delta.delta0 * d[:, None]
-                   - ge * delta.delta0 * cum[:, None]
-                   - d[:, None] * tables.ratio_theta[k]
-                   + total[:, None] * tables.int_theta[k])[:, 1:]
-    score_d0 = (d * (gamma @ theta - tables.ratio_d0[k])
-                - (ge @ theta) * cum
-                + total * tables.int_d0[k])
-    score_d1 = (d * (x - tables.ratio_d1[k])
-                - x * total * cum
-                + total * tables.int_d1[k])
-    out = np.empty((packed.n, R + 1))
-    out[:, :R - 1] = score_theta
-    out[:, R - 1] = score_d0
-    out[:, R] = score_d1
-    return out
+
+def _record_sums(rec: SurvivalRecord, gamma_row: np.ndarray, theta: np.ndarray,
+                 delta: SurvivalParams):
+    """One subject's ``(gv, gev, total)``, as in :func:`_group_sums`."""
+    gamma_row = np.asarray(gamma_row, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    ge = gamma_row * np.exp(theta * delta.delta0 + rec.covariate * delta.delta1)
+    total = ge.sum()
+    gv = np.concatenate([delta.delta0 * gamma_row[1:], [gamma_row @ theta, rec.covariate]])
+    gev = np.concatenate([delta.delta0 * ge[1:], [ge @ theta, rec.covariate * total]])
+    return gv, gev, total
 
 
 def survival_profile_score(rec: SurvivalRecord, gamma_row: np.ndarray, tables: RiskSetTables,
@@ -356,20 +344,10 @@ def survival_profile_score(rec: SurvivalRecord, gamma_row: np.ndarray, tables: R
     """Profile score of one subject; see :func:`profile_scores` for the layout."""
     if not tables.matches(theta, delta):
         raise ValueError("aggregate tables were built at a different parameter point")
-    gamma_row = np.asarray(gamma_row, dtype=float)
     k = tables.time_slot(rec.time)
-    lp = np.asarray(theta) * delta.delta0 + rec.covariate * delta.delta1
-    ge = gamma_row * np.exp(lp)
-    total = ge.sum()
-    d = float(rec.event)
-    cum = tables.cum_jumps[k]
-    score_theta = (gamma_row * delta.delta0 * d - ge * delta.delta0 * cum
-                   - d * tables.ratio_theta[k] + total * tables.int_theta[k])[1:]
-    score_d0 = (d * (gamma_row @ tables.theta - tables.ratio_d0[k])
-                - ge @ tables.theta * cum + total * tables.int_d0[k])
-    score_d1 = (d * (rec.covariate - tables.ratio_d1[k])
-                - rec.covariate * total * cum + total * tables.int_d1[k])
-    return np.concatenate([score_theta, [score_d0, score_d1]])
+    gv, gev, total = _record_sums(rec, gamma_row, theta, delta)
+    return (float(rec.event) * (gv - tables.ratio[k])
+            - gev * tables.cum_jumps[k] + total * tables.int_ratio[k])
 
 
 def _step_integrals(tables: RiskSetTables, baseline) -> tuple[np.ndarray, np.ndarray]:
@@ -389,31 +367,17 @@ def efficient_scores(packed: PackedData, gamma: np.ndarray, baseline, tables: Ri
     sum_r gamma_r d [v_r - M1(T)/M0(T)]
         - sum_r gamma_r exp(lp_r) Int_0^T [v_r - M1(u)/M0(u)] dLambda(u),
     with v_r = (delta0 e_r-slot, theta_r, X) in the [theta[2..R], delta0,
-    delta1] layout.  ``baseline`` may be a :class:`HazardSteps` or any object
-    with a ``cum(t)`` method; the integral is an exact finite sum.
+    delta1] layout, written as d [gv - M1/M0(T)] - (gev Lambda(T) - total
+    Int_0^T (M1/M0) dLambda) with gv, gev and total from :func:`_group_sums`.
+    ``baseline`` may be a :class:`HazardSteps` or any object with a
+    ``cum(t)`` method; the integral is an exact finite sum.
     """
-    theta, delta, ge, total, k, _ = _score_pieces(packed, gamma, tables)
-    d = packed.events
-    x = packed.covariates
-    R = theta.size
-
+    gv, gev, total = _group_sums(packed, gamma, tables)
+    k = packed.time_index
     mass, cum_at = _step_integrals(tables, baseline)
-    lam_T = cum_at[k]
-    int_theta = np.cumsum(mass[:, None] * tables.ratio_theta, axis=0)[k]
-    int_d0 = np.cumsum(mass * tables.ratio_d0)[k]
-    int_d1 = np.cumsum(mass * tables.ratio_d1)[k]
-
-    score_theta = (d[:, None] * (gamma * delta.delta0 - tables.ratio_theta[k])
-                   - (ge * delta.delta0 * lam_T[:, None] - total[:, None] * int_theta))[:, 1:]
-    score_d0 = (d * (gamma @ theta - tables.ratio_d0[k])
-                - ((ge @ theta) * lam_T - total * int_d0))
-    score_d1 = (d * (x - tables.ratio_d1[k])
-                - (x * total * lam_T - total * int_d1))
-    out = np.empty((packed.n, R + 1))
-    out[:, :R - 1] = score_theta
-    out[:, R - 1] = score_d0
-    out[:, R] = score_d1
-    return out
+    integral = np.cumsum(mass[:, None] * tables.ratio, axis=0)[k]
+    return (packed.events[:, None] * (gv - tables.ratio[k])
+            - (gev * cum_at[k][:, None] - total[:, None] * integral))
 
 
 def efficient_score_survival(rec: SurvivalRecord, gamma_row: np.ndarray, baseline,
@@ -422,24 +386,8 @@ def efficient_score_survival(rec: SurvivalRecord, gamma_row: np.ndarray, baselin
     """Efficient score of one subject; layout as in :func:`profile_scores`."""
     if not tables.matches(theta, delta):
         raise ValueError("aggregate tables were built at a different parameter point")
-    gamma_row = np.asarray(gamma_row, dtype=float)
     k = tables.time_slot(rec.time)
-    lp = np.asarray(theta) * delta.delta0 + rec.covariate * delta.delta1
-    ge = gamma_row * np.exp(lp)
-    total = ge.sum()
-    d = float(rec.event)
-
+    gv, gev, total = _record_sums(rec, gamma_row, theta, delta)
     mass, cum_at = _step_integrals(tables, baseline)
-    upto = slice(0, k + 1)
-    lam_T = cum_at[k]
-    int_theta = mass[upto] @ tables.ratio_theta[upto]
-    int_d0 = mass[upto] @ tables.ratio_d0[upto]
-    int_d1 = mass[upto] @ tables.ratio_d1[upto]
-
-    score_theta = (d * (gamma_row * delta.delta0 - tables.ratio_theta[k])
-                   - (ge * delta.delta0 * lam_T - total * int_theta))[1:]
-    score_d0 = (d * (gamma_row @ tables.theta - tables.ratio_d0[k])
-                - (ge @ tables.theta * lam_T - total * int_d0))
-    score_d1 = (d * (rec.covariate - tables.ratio_d1[k])
-                - (rec.covariate * total * lam_T - total * int_d1))
-    return np.concatenate([score_theta, [score_d0, score_d1]])
+    integral = mass[:k + 1] @ tables.ratio[:k + 1]
+    return float(rec.event) * (gv - tables.ratio[k]) - (gev * cum_at[k] - total * integral)

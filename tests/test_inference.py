@@ -322,7 +322,7 @@ class TestFixedPoint:
         gamma, tables = fixed_point_posterior(packed, params, gamma0)
         gamma_ref, tables_ref = fixed_point_oracle(packed, params, gamma0)
         np.testing.assert_allclose(gamma, gamma_ref, rtol=0, atol=1e-12)
-        for name in ("jumps", "cum_jumps", "int_theta", "int_d0", "int_d1"):
+        for name in ("jumps", "cum_jumps", "int_ratio"):
             np.testing.assert_allclose(getattr(tables, name), getattr(tables_ref, name),
                                        rtol=1e-12, atol=1e-15, err_msg=name)
 

@@ -10,6 +10,7 @@ from jointmix import (EmptyRiskSetError, HazardSteps, InvalidHazardError, Surviv
                       risk_aggregates, risk_set_tables, survival_loglik,
                       survival_profile_score)
 from jointmix.data import PackedData
+from jointmix.simulation import ConstantBaseline
 from jointmix.survival import efficient_scores, loglik_matrix, profile_scores, profiled_loglik
 
 from conftest import make_subject, random_gamma, survival_only
@@ -64,8 +65,7 @@ class TestRiskAggregates:
 
 
 class TestRiskSetTables:
-    DERIVED = ("cum_jumps", "m0", "ratio_theta", "ratio_d0", "ratio_d1",
-               "int_theta", "int_d0", "int_d1")
+    DERIVED = ("cum_jumps", "m0", "ratio", "int_ratio")
 
     @staticmethod
     def draw(seed, n=25, n_groups=3):
@@ -80,15 +80,17 @@ class TestRiskSetTables:
     def test_matches_risk_aggregates_at_each_distinct_time(self, seed):
         records, gamma, theta, delta = self.draw(seed)
         tables = risk_set_tables(records, gamma, theta, delta)
+        R = theta.size
         for k, t in enumerate(tables.times):
             m0, m1 = risk_aggregates(t, records, gamma, theta, delta)
             assert tables.m0[k] == pytest.approx(m0, rel=1e-13)
             assert tables.m0_group[k].sum() == pytest.approx(m0, rel=1e-13)
             assert tables.m0_group[k] @ theta == pytest.approx(m1[1], rel=1e-13, abs=1e-15)
             assert tables.m0_x[k] == pytest.approx(m1[2], rel=1e-13, abs=1e-15)
-            assert tables.ratio_theta[k].sum() == pytest.approx(m1[0] / m0, rel=1e-13)
-            assert tables.ratio_d0[k] == pytest.approx(m1[1] / m0, rel=1e-13, abs=1e-15)
-            assert tables.ratio_d1[k] == pytest.approx(m1[2] / m0, rel=1e-13, abs=1e-15)
+            np.testing.assert_allclose(tables.ratio[k, :R - 1],
+                                       delta.delta0 * tables.m0_group[k, 1:] / m0, rtol=1e-13)
+            assert tables.ratio[k, R - 1] == pytest.approx(m1[1] / m0, rel=1e-13, abs=1e-15)
+            assert tables.ratio[k, R] == pytest.approx(m1[2] / m0, rel=1e-13, abs=1e-15)
 
     def test_tables_ignore_later_changes_to_gamma(self):
         records, gamma, theta, delta = self.draw(3)
@@ -97,10 +99,10 @@ class TestRiskSetTables:
         expected = {name: np.array(getattr(reference, name))
                     for name in ("jumps", "m0_group", "m0_x") + self.DERIVED}
         tables = risk_set_tables(packed, gamma, theta, delta)
-        first_read = tables.ratio_theta.copy()    # one derived table read before the change
+        first_read = tables.ratio.copy()          # one derived table read before the change
         gamma[:] = gamma[::-1] * 3.0
         theta[1:] += 1.0
-        np.testing.assert_array_equal(tables.ratio_theta, first_read)
+        np.testing.assert_array_equal(tables.ratio, first_read)
         for name, want in expected.items():
             np.testing.assert_array_equal(getattr(tables, name), want, err_msg=name)
 
@@ -435,6 +437,27 @@ class TestEfficientScore:
         prof = profile_scores(packed, gamma, tables)
         eff = efficient_scores(packed, gamma, bumped, tables)
         assert np.max(np.abs(prof - eff)) > 1e-3
+
+    @pytest.mark.parametrize("baseline", ["constant", "scaled_profile"])
+    def test_rows_match_per_record_oracle(self, baseline):
+        rng = np.random.default_rng(8)
+        n = 30
+        records = survival_only(rng.choice([0.3, 0.8, 1.4, 2.2, 3.1], size=n),
+                                rng.integers(0, 2, n), rng.normal(0, 1, n))
+        packed = PackedData.coerce(records)
+        gamma = random_gamma(rng, n, 3) * rng.uniform(0.5, 2.0, (n, 1))
+        theta = np.array([0.0, -0.5, 0.8])
+        delta = SurvivalParams(0.6, -0.35)
+        tables = risk_set_tables(packed, gamma, theta, delta)
+        if baseline == "constant":
+            hazard = ConstantBaseline(0.2)
+        else:
+            profiled = tables.hazard_steps()
+            hazard = HazardSteps(profiled.times, profiled.jumps * 1.3)
+        rows = efficient_scores(packed, gamma, hazard, tables)
+        for i, rec in enumerate(records):
+            oracle = efficient_score_survival(rec.survival, gamma[i], hazard, theta, delta, tables)
+            np.testing.assert_allclose(rows[i], oracle, rtol=1e-12, atol=0, err_msg=f"row {i}")
 
     def test_one_group_martingale_oracle(self):
         # R=1, delta=(0,0): the delta1 coordinate is sum over event times of
