@@ -2,8 +2,10 @@
 
 Latent groups carry a shared effect that enters an ordered stereotype model
 for the questionnaire responses and a Cox proportional-hazards model for the
-failure times.  Fitting is EM with the nonparametric baseline hazard
-profiled out; standard errors come from the empirical efficient information.
+failure times.  Fitting maximizes the profile likelihood, with the
+nonparametric baseline hazard and the group posteriors profiled out, by
+quasi-Newton ascent from an EM step; standard errors come from the
+empirical efficient information.
 """
 
 from .data import DataError, PackedData, ResponseSet, SubjectRecord, SurvivalRecord

@@ -297,7 +297,7 @@ def _cmd_fit(args) -> int:
     if not fit.converged:
         print("fit did not converge; artifacts written", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    print(f"converged in {fit.n_iter} iterations; loglik {fit.loglik:.6f}")
+    print(f"converged in {fit.n_iter} evaluations; loglik {fit.loglik:.6f}")
     return EXIT_OK
 
 

@@ -13,6 +13,15 @@ class DataError(ValueError):
 
 
 def _readonly(values, dtype) -> np.ndarray:
+    """Read-only array of ``values``; an owning read-only array of that dtype is kept as it is.
+
+    Anything else is copied, so later writes through the caller's array or
+    its base cannot reach the result.
+    """
+    # the cheap tests first: the writable arrays of the data path fail the second
+    if (isinstance(values, np.ndarray) and not values.flags.writeable
+            and values.base is None and values.dtype == dtype):
+        return values
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out

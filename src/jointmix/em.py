@@ -1,31 +1,33 @@
-"""EM loop for the joint mixture: responsibilities, M-steps, SQUAREM acceleration.
+"""Fitting the joint mixture: EM building blocks and profile-likelihood ascent.
 
-The EM map F acts on the state x = (structural parameters in optimizer
-coordinates, ``ParamLayout.pack_opt``; logit pi with group 1 as reference;
-log Breslow jumps at the event times).  F(x) takes an E-step at x's own
-hazard, which gives the observed log-likelihood at x and the
-responsibilities; the M-step then sets pi to the responsibility column means
-and maximizes the expected complete-data log-likelihood over the structural
-parameters with the hazard re-profiled (at fixed responsibilities) inside the
-inner optimizer; the new jumps are the ones profiled at its optimum.  The
-observed log-likelihood never drops along F, by the usual EM argument,
-because profiling maximizes over the hazard jumps exactly.
+:func:`em_fit` maximizes the profile log-likelihood pl(z) over
+z = (structural parameters in optimizer coordinates, ``ParamLayout.pack_opt``;
+logit pi[2..R] against group 1).  At fixed z the Breslow hazard and the
+responsibilities are profiled out together: the fixed point of
+:func:`inference._solve_fixed_point` alternates the posterior and the hazard
+profiled from it until no responsibility moves by 1e-12.  pl(z) is the
+observed log-likelihood at that hazard.  Its gradient is the M-step
+objective's gradient (:meth:`_MStepContext.neg_q_grad`) at the fixed-point
+responsibilities, because at the fixed point the derivatives through the
+hazard and the posterior cancel (the envelope identity behind
+:func:`survival.profiled_loglik`), plus the pi score sum_i (gamma_ir - pi_r).
 
-F converges linearly and slowly, so :func:`em_fit` runs SQUAREM (Varadhan &
-Roland 2008, Scand. J. Stat. 35:335-353, step length S3) over it.  Each cycle
-computes x1 = F(x0) and x2 = F(x1), then extrapolates
-x' = x0 - 2 alpha r + alpha^2 v with r = x1 - x0, v = x2 - 2 x1 + x0 and
-alpha = -|r| / |v| clamped to [-bound, -1]; the bound starts at 4 and is
-multiplied by 4 whenever alpha reaches it.  The cycle moves on to F(x') when
-the log-likelihood at x' is at least the one at x1, and to x2 otherwise,
-also when evaluating F at x' fails.  This safeguard keeps the recorded
-log-likelihood trace nondecreasing.  The tolerance test runs between
-successive cycle outputs; the returned responsibilities are the E-step
-posterior at the returned point.
+Each restart takes one plain EM step first (an E-step, then the M-step with
+pi set to the responsibility column means), which moves a random start into
+a better basin, and then runs BFGS with Armijo backtracking
+(:class:`_InnerOptimizer`) on -pl(z) / n, warm-starting every fixed-point
+solve from the previous evaluation's responsibilities.  An evaluation whose
+fixed point does not converge, that meets an empty risk set, or whose
+weights, hazard jumps or subject densities over- or underflow returns +inf,
+so the line search backs off.
+The accepted iterates raise pl strictly, so the recorded log-likelihood trace
+is nondecreasing.
 
-This module only drives the kernels: the likelihood core lives in
-:mod:`likelihood`, the risk-set sums, Breslow jumps, survival log-likelihood
-and profiled M-step objective in :mod:`data` and :mod:`survival`.
+The EM building blocks (:func:`e_step`, :func:`m_step_pi`,
+:func:`m_step_theta`, :func:`observed_loglik`) stay public.  The likelihood
+core lives in :mod:`likelihood`, the risk-set sums, Breslow jumps, survival
+log-likelihood and profiled M-step objective in :mod:`data` and
+:mod:`survival`.
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ _COLLAPSE_PI = 1e-6
 _COLLAPSE_MASS = 1.0
 _FIRST_ORDER_TOL = 1e-6
 _INNER_GTOL = 1e-7
-# SQUAREM: initial bound on |alpha| and its growth factor when alpha reaches it;
-# a bound of 1 would pin alpha at -1, i.e. plain EM
-_STEP_BOUND = 4.0
 
 
 class MStepError(RuntimeError):
@@ -88,12 +87,14 @@ class Posterior:
 class EMConfig:
     """Convergence tolerances, iteration budget and restart policy.
 
-    A restart converges when, between two successive SQUAREM cycle outputs,
-    the relative change of the observed log-likelihood is below
-    ``tol_loglik`` and the largest change of a free parameter or mixture
-    weight is below ``tol_param``.  ``max_iter`` bounds the evaluations of
-    the EM map, each one E-step plus one M-step, which is also what
-    ``FitResult.n_iter`` counts.
+    A restart converges when, between two successive accepted iterates of
+    the profile-likelihood ascent, the relative change of the profile
+    log-likelihood is below ``tol_loglik`` and the largest change of a free
+    parameter (natural coordinates, as in ``ParamLayout.pack``) or mixture
+    weight is below ``tol_param``.  ``FitResult.n_iter`` counts evaluations
+    of the profile log-likelihood, line-search trials and the restart's
+    opening EM step included, and ``max_iter`` bounds that count per
+    restart; with ``max_iter=1`` the opening EM step is skipped.
     """
 
     tol_loglik: float = 1e-8
@@ -220,7 +221,12 @@ class _MStepContext:
 
 class _InnerOptimizer:
     """BFGS with Armijo backtracking; the inverse-Hessian approximation is
-    kept across calls so consecutive M-steps warm-start each other."""
+    kept across calls so consecutive M-steps warm-start each other.
+
+    :meth:`minimize` calls ``fun`` at most ``max_eval`` times, the start
+    included, and passes the start and every accepted iterate to
+    ``accept(x, f)``, which ends the search by returning True.
+    """
 
     def __init__(self, n_dim: int):
         self.n_dim = n_dim
@@ -229,10 +235,12 @@ class _InnerOptimizer:
     def reset(self):
         self.h = None
 
-    def minimize(self, fun, x0: np.ndarray, gtol: float = _INNER_GTOL, max_iter: int = 50):
+    def minimize(self, fun, x0: np.ndarray, gtol: float = _INNER_GTOL, max_iter: int = 50,
+                 max_eval: float = np.inf, accept=None):
         x = np.asarray(x0, dtype=float)
         f, g = fun(x)
-        if not np.isfinite(f):
+        n_eval = 1
+        if not np.isfinite(f) or (accept is not None and accept(x, f)):
             return x, f, g, False
         fresh = self.h is None
         h = np.eye(x.size) if fresh else self.h
@@ -249,8 +257,11 @@ class _InnerOptimizer:
             step = 1.0
             accepted = False
             for _ in range(40):
+                if n_eval >= max_eval:
+                    break
                 x_new = x + step * d
                 f_new, g_new = fun(x_new)
+                n_eval += 1
                 if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
                     accepted = True
                     break
@@ -268,6 +279,8 @@ class _InnerOptimizer:
                 h = (h + ((sy + float(yv @ hy)) / sy ** 2) * np.outer(s, s)
                      - (np.outer(hy, s) + np.outer(s, hy)) / sy)
             x, f, g = x_new, f_new, g_new
+            if accept is not None and accept(x, f):
+                break
         self.h = h
         return x, f, g, bool(np.max(np.abs(g)) <= gtol)
 
@@ -361,46 +374,58 @@ def draw_initial_params(rng: np.random.Generator, n_groups: int, n_levels: int,
     return ModelParams(theta, OrdinalParams(a, phi, b), delta, pi)
 
 
-# ------------------------------------------------------------ SQUAREM driver
+# ------------------------------------------------------------ profile-likelihood ascent
 
-class _StopEM(RuntimeError):
-    """The EM map cannot go on from this point; the message is the restart status."""
+class _ProfileObjective:
+    """-pl(z) / n and its gradient at z = (``pack_opt``, logit pi[2..R] against group 1).
+
+    Counts its calls and keeps the parameters, responsibilities and
+    log-likelihood of its last finite call; those responsibilities
+    warm-start the next fixed-point solve.
+    """
+
+    def __init__(self, packed: PackedData, layout: ParamLayout, gamma: np.ndarray):
+        self.packed = packed
+        self.layout = layout
+        self.gamma = gamma
+        self.last: tuple[ModelParams, float] | None = None
+        self.n_eval = 0
+
+    def __call__(self, z: np.ndarray):
+        self.n_eval += 1
+        failed = np.inf, np.zeros(z.size)
+        if not np.all(np.isfinite(z)):
+            return failed
+        lay, packed = self.layout, self.packed
+        y = z[:lay.n_free]
+        try:
+            with np.errstate(over="raise"):
+                logit = np.concatenate([[0.0], z[lay.n_free:]])
+                with np.errstate(under="raise"):
+                    pi = np.exp(logit - logit.max())
+                params = lay.unpack_opt(y, pi / pi.sum())
+                solve = _inference._solve_fixed_point(packed, params, self.gamma,
+                                                      _inference._FIXED_POINT_TOL,
+                                                      _inference._FIXED_POINT_MAX_ITER)
+                if not solve.converged:
+                    return failed
+                f_q, g_q = _MStepContext(packed, solve.gamma, lay).neg_q_grad(y)
+        except (DegenerateSubjectError, _survival.EmptyRiskSetError, FloatingPointError):
+            return failed
+        if not (np.isfinite(f_q) and np.isfinite(solve.loglik)):
+            return failed
+        self.gamma = solve.gamma
+        self.last = params, solve.loglik
+        pi_score = (np.ones(packed.n) @ solve.gamma)[1:] / packed.n - params.pi[1:]
+        return -solve.loglik / packed.n, np.concatenate([g_q, -pi_score])
 
 
-# evaluating F at an extrapolated state may fail in these ways; that rejects
-# the extrapolation and ends nothing
-_REJECTED = (DegenerateSubjectError, _survival.EmptyRiskSetError, MStepError,
-             FloatingPointError, _StopEM)
+def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig):
+    """One restart from ``params``: an EM step, then BFGS ascent of pl (see the module docstring).
 
-
-def _pack_state(layout: ParamLayout, params: ModelParams, jumps: np.ndarray,
-                events: np.ndarray) -> np.ndarray:
-    """SQUAREM state: optimizer coordinates, logit pi against group 1, log jumps at event times."""
-    log_pi = np.log(params.pi)
-    return np.concatenate([layout.pack_opt(params), log_pi[1:] - log_pi[0],
-                           np.log(jumps[events])])
-
-
-def _unpack_state(layout: ParamLayout, x: np.ndarray, events: np.ndarray):
-    """Parameters and jumps of a state; FloatingPointError when a weight or jump
-    over- or underflows."""
-    n_opt, n_logit = layout.n_free, layout.R - 1
-    logit = np.concatenate([[0.0], x[n_opt:n_opt + n_logit]])
-    jumps = np.zeros(events.size)
-    with np.errstate(over="raise", under="raise"):
-        pi = np.exp(logit - logit.max())
-        jumps[events] = np.exp(x[n_opt + n_logit:])
-    return layout.unpack_opt(x[:n_opt], pi / pi.sum()), jumps
-
-
-def _em_single(packed: PackedData, params: ModelParams, config: EMConfig):
-    """One restart of SQUAREM-accelerated EM from ``params`` (see the module docstring).
-
-    Returns the last point whose E-step was taken, with its responsibilities.
+    Returns the last accepted point with its fixed-point responsibilities.
     """
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
-    events = packed.event_counts > 0
-    optimizer = _InnerOptimizer(layout.n_free)
     gamma = np.tile(params.pi, (packed.n, 1))
     jumps = RiskSetTables(packed, gamma, params.theta, params.survival).jumps
     try:
@@ -408,69 +433,66 @@ def _em_single(packed: PackedData, params: ModelParams, config: EMConfig):
     except DegenerateSubjectError:
         return {"params": params, "gamma": gamma, "trace": [-np.inf],
                 "converged": False, "n_iter": 0, "status": "non-finite start"}
-    trace = [ll]
-    n_iter = 0
-    bound = _STEP_BOUND
-    status = "max_iter"
-    last = None
-
-    def advance(params, gamma):
-        """M-step half of the EM map at responsibilities ``gamma``: the next (params, jumps)."""
-        nonlocal n_iter
-        if n_iter >= config.max_iter:
-            raise _StopEM("max_iter")
-        n_iter += 1
+    result = {"params": params, "gamma": gamma, "trace": [ll], "converged": False,
+              "n_iter": 0, "status": "non-finite profile likelihood at start"}
+    start = params
+    if config.max_iter > 1:
+        result["n_iter"] = 1
         colsum = np.ones(packed.n) @ gamma
         pi = colsum / packed.n
         if colsum.min() < _COLLAPSE_MASS or pi.min() < _COLLAPSE_PI:
-            raise _StopEM("component collapse")
-        params = ModelParams(params.theta, params.ordinal, params.survival, pi)
-        return _m_step_theta_full(packed, gamma, params, max_inner=50, optimizer=optimizer)
+            result["status"] = "component collapse"
+            return result
+        try:
+            start, _ = _m_step_theta_full(packed, gamma, ModelParams(
+                params.theta, params.ordinal, params.survival, pi), max_inner=50)
+        except MStepError:
+            result["status"] = "m-step failure"
+            return result
 
-    # (params, jumps, gamma) is always a point whose E-step gave trace[-1]
-    try:
-        while True:
-            natural = np.concatenate([layout.pack(params), params.pi])
-            if last is not None:
-                d_ll = abs(trace[-1] - last[0]) / max(1.0, abs(last[0]))
-                if d_ll < config.tol_loglik and np.max(np.abs(natural - last[1])) < config.tol_param:
-                    status = "converged"
-                    break
-            last = trace[-1], natural
-            x0 = _pack_state(layout, params, jumps, events)
-            step = advance(params, gamma)
-            ll1, gamma = _e_step(packed, *step)
-            params, jumps = step
-            trace.append(ll1)
-            x1 = _pack_state(layout, params, jumps, events)
-            step = advance(params, gamma)
-            r = x1 - x0
-            v = _pack_state(layout, *step, events) - 2.0 * x1 + x0
-            alpha = -np.sqrt((r @ r) / (v @ v)) if v @ v > 0 else -bound
-            alpha = min(-1.0, max(alpha, -bound))
-            if alpha == -bound:
-                bound *= _STEP_BOUND
-            try:
-                extrapolated = _unpack_state(layout, x0 - 2.0 * alpha * r + alpha ** 2 * v, events)
-                ll_x, gamma_x = _e_step(packed, *extrapolated)
-                if ll_x >= ll1:
-                    step = advance(extrapolated[0], gamma_x)
-                    (params, jumps), gamma = extrapolated, gamma_x
-                    trace.append(ll_x)
-            except _REJECTED:
-                pass    # keep x2, the plain EM step
-            ll, gamma = _e_step(packed, *step)
-            params, jumps = step
-            trace.append(ll)
-    except (DegenerateSubjectError, MStepError, _StopEM) as err:
-        status = "m-step failure" if isinstance(err, MStepError) else str(err)
-    return {"params": params, "gamma": gamma, "trace": trace,
-            "converged": status == "converged", "n_iter": n_iter, "status": status}
+    objective = _ProfileObjective(packed, layout, gamma)
+    previous = None
+
+    def accept(z, f):
+        """Record an accepted iterate; True once the tolerance rule holds."""
+        nonlocal previous
+        params, ll = objective.last
+        natural = np.concatenate([layout.pack(params), params.pi])
+        done = (previous is not None
+                and abs(ll - previous[0]) / max(1.0, abs(previous[0])) < config.tol_loglik
+                and np.max(np.abs(natural - previous[1])) < config.tol_param)
+        previous = ll, natural
+        result.update(params=params, gamma=objective.gamma)
+        result["trace"].append(ll)
+        if done:
+            result["status"] = "converged"
+        return done
+
+    log_pi = np.log(start.pi)
+    z0 = np.concatenate([layout.pack_opt(start), log_pi[1:] - log_pi[0]])
+    budget = config.max_iter - result["n_iter"]
+    _InnerOptimizer(z0.size).minimize(objective, z0, gtol=0.0, max_iter=budget,
+                                      max_eval=budget, accept=accept)
+    result["n_iter"] += objective.n_eval
+    if previous is not None and result["status"] != "converged":
+        result["status"] = "max_iter" if objective.n_eval >= budget else "line search failure"
+    colsum = np.ones(packed.n) @ result["gamma"]
+    if colsum.min() < _COLLAPSE_MASS or result["params"].pi.min() < _COLLAPSE_PI:
+        result["status"] = "component collapse"
+    result["converged"] = result["status"] == "converged"
+    return result
 
 
 def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams | None = None,
            n_levels: int | None = None, n_items: int | None = None) -> FitResult:
-    """Fit the joint mixture by EM with restarts.
+    """Fit the joint mixture by maximizing the profile likelihood, with restarts.
+
+    Each restart takes one EM step from its start and then ascends the
+    profile log-likelihood by BFGS (see the module docstring) until the
+    ``config`` tolerance rule holds between two accepted iterates, the
+    line search can make no progress, or ``config.max_iter`` evaluations
+    are spent.  A restart whose smallest weight or responsibility mass ends
+    below the collapse thresholds does not count as converged.
 
     Parameters
     ----------
@@ -489,10 +511,14 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
     Returns
     -------
     FitResult
-        Best restart by final observed log-likelihood, relabeled so theta is
-        ascending, with the empirical efficient information matrix and
-        model-based standard errors.  ``converged`` additionally requires the
-        dataset-mean profile score to have sup-norm <= 1e-6.
+        Best restart (converged first, then by final log-likelihood), relabeled
+        so theta is ascending, with its fixed-point responsibilities, the
+        hazard profiled from them, the empirical efficient information matrix
+        and model-based standard errors.  ``n_iter`` is that restart's
+        evaluation count and ``loglik_trace`` its log-likelihood at the start
+        and at every accepted iterate.  ``converged`` additionally requires the
+        dataset-mean profile score at the fixed-point responsibilities to have
+        sup-norm <= 1e-6.
     """
     if n_groups < 1:
         raise ValueError("n_groups must be >= 1")
@@ -510,7 +536,7 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
             rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(s,)))
             params0 = draw_initial_params(rng, n_groups, packed.n_levels, packed.n_items)
         try:
-            candidates.append(_em_single(packed, params0, config))
+            candidates.append(_fit_restart(packed, params0, config))
         except (FloatingPointError, _survival.EmptyRiskSetError) as err:
             candidates.append({"params": params0, "gamma": np.tile(params0.pi, (packed.n, 1)),
                                "trace": [-np.inf], "converged": False,
@@ -523,22 +549,9 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
     params, gamma = best["params"], best["gamma"]
     params, _, gamma = relabel_ascending(params, None, gamma)
     tables = RiskSetTables(packed, gamma, params.theta, params.survival)
-    trace = list(best["trace"])
 
     converged = best["converged"]
     if converged:
-        gtol = _INNER_GTOL
-        for _ in range(3):
-            scores = _inference.score_matrix(packed, params, gamma, tables)
-            if np.max(np.abs(scores.mean(axis=0))) <= _FIRST_ORDER_TOL:
-                break
-            gtol /= 10.0
-            params, _ = _m_step_theta_full(packed, gamma, params, gtol=gtol)
-            params, _, gamma = relabel_ascending(params, None, gamma)
-            tables = RiskSetTables(packed, gamma, params.theta, params.survival)
-            ll, _ = _loglik_and_posterior(packed, _loglik_components(packed, params, tables))
-            if ll >= trace[-1]:
-                trace.append(ll)
         scores = _inference.score_matrix(packed, params, gamma, tables)
         if np.max(np.abs(scores.mean(axis=0))) > _FIRST_ORDER_TOL:
             converged = False
@@ -557,7 +570,7 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
         params=params,
         hazard=tables.hazard_steps(),
         posterior=Posterior(gamma),
-        loglik_trace=np.asarray(trace),
+        loglik_trace=np.asarray(best["trace"]),
         std_errors=std_errors,
         info_matrix=info.matrix,
         converged=converged,

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +18,9 @@ from .params import ModelParams, ParamLayout
 from .survival import HazardSteps, RiskSetTables
 
 _SINGULAR_CONDITION = 1e10
+# fixed-point stopping rule: no responsibility moves by this much, within this many steps
+_FIXED_POINT_TOL = 1e-12
+_FIXED_POINT_MAX_ITER = 500
 
 
 class SingularInformationError(RuntimeError):
@@ -137,24 +141,34 @@ def pseudo_standard_errors(info: InfoMatrix, n: int) -> np.ndarray:
     return np.sqrt(np.maximum(np.diag(cov), 0.0) / n)
 
 
-def fixed_point_posterior(data, params: ModelParams, gamma0: np.ndarray | None = None,
-                          tol: float = 1e-12, max_iter: int = 500):
-    """Solve the responsibility/profiled-hazard fixed point at fixed parameters.
+class _FixedPoint(NamedTuple):
+    """One fixed-point solve: see :func:`_solve_fixed_point`."""
 
-    The profiled hazard depends on the responsibilities and vice versa;
-    iterating the pair converges under the contraction condition checked by
-    :func:`contraction_check`.  Iteration stops once no responsibility moves
-    by ``tol`` or more, and warns after ``max_iter`` steps without that.
-    Returns ``(gamma, tables)`` with the tables built from the final
-    responsibilities.
+    gamma: np.ndarray
+    hazard: tuple[np.ndarray, np.ndarray]
+    loglik: float
+    n_steps: int
+    converged: bool
+
+
+def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarray | None,
+                       tol: float, max_iter: int) -> _FixedPoint:
+    """Iterate responsibilities and the hazard profiled from them; builds no tables.
+
+    Returns the last step's responsibilities, the hazard ``(jumps, cum)`` that
+    step profiled, the observed log-likelihood at that hazard, the number of
+    steps taken and whether the last one moved no responsibility by ``tol``.
+    The responsibilities are the posterior at the returned hazard, so the three
+    describe one point exactly.
 
     The ordinal log-likelihoods, d_i lp_ir, log pi_r and exp(lp_ir) do not
     change while the parameters are fixed, so they are formed once; each
     step takes the risk-set sums and the cumulative hazard only.  The event
     term d_i log dLambda(T_i) is the same in every group and cancels from the
-    responsibilities, so it is left out of the per-step components.
+    responsibilities, so it is added to the log-likelihood once, at the end.
     """
-    packed = PackedData.coerce(data, params.n_levels, params.n_items)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     theta, delta = params.theta, params.survival
     lp = _survival.linear_predictors(theta, delta, packed.covariates)
     e = np.exp(lp)
@@ -163,16 +177,35 @@ def fixed_point_posterior(data, params: ModelParams, gamma0: np.ndarray | None =
     ones = np.ones(theta.size)
     k = packed.time_index
     gamma = np.tile(params.pi, (packed.n, 1)) if gamma0 is None else np.array(gamma0, dtype=float)
-    for _ in range(max_iter):
-        _, cum = _survival.breslow_steps(packed, packed.suffix_sums((gamma * e) @ ones))
-        _, gamma_new = _loglik_and_posterior(packed, fixed - cum[k][:, None] * e)
-        step = float(np.max(np.abs(gamma_new - gamma)))
+    converged = False
+    for n_steps in range(1, max_iter + 1):
+        jumps, cum = _survival.breslow_steps(packed, packed.suffix_sums((gamma * e) @ ones))
+        loglik, gamma_new = _loglik_and_posterior(packed, fixed - cum[k][:, None] * e)
+        converged = float(np.max(np.abs(gamma_new - gamma))) < tol
         gamma = gamma_new
-        if step < tol:
+        if converged:
             break
-    else:
+    ev = packed.event_counts > 0
+    loglik += float(packed.event_counts[ev] @ np.log(jumps[ev]))
+    return _FixedPoint(gamma, (jumps, cum), loglik, n_steps, converged)
+
+
+def fixed_point_posterior(data, params: ModelParams, gamma0: np.ndarray | None = None,
+                          tol: float = _FIXED_POINT_TOL, max_iter: int = _FIXED_POINT_MAX_ITER):
+    """Solve the responsibility/profiled-hazard fixed point at fixed parameters.
+
+    The profiled hazard depends on the responsibilities and vice versa;
+    iterating the pair converges under the contraction condition checked by
+    :func:`contraction_check`.  Iteration stops once no responsibility moves
+    by ``tol`` or more, and warns after ``max_iter`` steps without that.
+    Returns ``(gamma, tables)`` with the tables built from the final
+    responsibilities.  The iteration itself is :func:`_solve_fixed_point`.
+    """
+    packed = PackedData.coerce(data, params.n_levels, params.n_items)
+    solve = _solve_fixed_point(packed, params, gamma0, tol, max_iter)
+    if not solve.converged:
         warnings.warn("responsibility fixed point did not converge", RuntimeWarning, stacklevel=2)
-    return gamma, RiskSetTables(packed, gamma, theta, delta)
+    return solve.gamma, RiskSetTables(packed, solve.gamma, params.theta, params.survival)
 
 
 def mean_profile_score(data, params: ModelParams, gamma0: np.ndarray | None = None) -> np.ndarray:

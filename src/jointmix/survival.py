@@ -62,9 +62,12 @@ class HazardSteps:
             raise ValueError("jumps must be nonnegative and finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "jumps", jumps)
-        prefix = np.concatenate([[0.0], np.cumsum(jumps)])
+
+    @functools.cached_property
+    def _prefix(self) -> np.ndarray:
+        prefix = np.concatenate([[0.0], np.cumsum(self.jumps)])
         prefix.flags.writeable = False
-        object.__setattr__(self, "_prefix", prefix)
+        return prefix
 
     def cum(self, t):
         """Cumulative hazard at ``t`` (scalar or array), right-continuous."""
@@ -135,6 +138,7 @@ class RiskSetTables:
         s0_group = packed.suffix_sums(w)          # (K, R)
         s0_x = packed.suffix_sums((w @ ones) * packed.covariates)
         self.jumps, _ = breslow_steps(packed, s0_group @ ones)
+        self.jumps.flags.writeable = False
         self.m0_group = s0_group / packed.n
         self.m0_x = s0_x / packed.n
 

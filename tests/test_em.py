@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import jointmix.inference
 from jointmix import (EMConfig, HazardSteps, ModelParams, OrdinalParams, ParamLayout,
-                      Posterior, SurvivalParams, e_step, em_fit, m_step_pi, m_step_theta,
-                      observed_loglik, ordinal_loglik, profile_hazard, relabel_ascending,
-                      survival_loglik)
+                      Posterior, SurvivalParams, e_step, em_fit, fixed_point_posterior,
+                      m_step_pi, m_step_theta, observed_loglik, ordinal_loglik, profile_hazard,
+                      relabel_ascending, survival_loglik)
 from jointmix.data import PackedData
 from jointmix.survival import RiskSetTables
-from jointmix.em import _m_step_theta_full, _MStepContext, draw_initial_params
+from jointmix.em import _m_step_theta_full, _MStepContext, _ProfileObjective, draw_initial_params
 from jointmix.simulation import (ConstantBaseline, NoCensoring, SimDesign, UniformCensoring,
-                                 default_design, generate_dataset)
+                                 _replication_seed, default_design, generate_dataset)
 
-from conftest import make_subject, random_gamma, random_params
+from conftest import make_subject, random_dataset, random_gamma, random_params
 
 
 def two_group_params(theta2=1.0, pi=(0.5, 0.5), delta=(0.4, -0.3)):
@@ -262,7 +263,7 @@ class TestEmFit:
         assert np.all(np.diff(fit.params.theta) >= 0)
 
     def test_three_group_trace_monotone_and_posterior_valid(self):
-        # extrapolated SQUAREM steps move three weights and two theta gaps at once
+        # the ascent moves three weights and two theta gaps at once
         params = ModelParams(np.array([0.0, 1.5, 3.0]),
                              OrdinalParams(np.array([0.0, 0.3, -0.2]), np.array([0.0, 0.5, 1.0]),
                                            np.array([0.0, 0.4])),
@@ -275,6 +276,54 @@ class TestEmFit:
         assert np.all(np.diff(fit.loglik_trace) >= -1e-10)
         Posterior(fit.posterior.gamma)
         assert np.all(np.diff(fit.params.theta) >= 0)
+
+    def test_exit_is_the_fixed_point_posterior(self, converged_fit):
+        _, records, fit = converged_fit
+        gamma, _ = fixed_point_posterior(records, fit.params, fit.posterior.gamma)
+        assert np.max(np.abs(gamma - fit.posterior.gamma)) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [201, 204])
+    def test_subject_order_leaves_the_fit_unchanged(self, converged_fit, seed):
+        _, records, fit = converged_fit
+        order = np.random.default_rng(seed).permutation(len(records))
+        permuted = em_fit([records[i] for i in order], 2,
+                          EMConfig(n_restarts=2, max_iter=4000, seed=5))
+        assert permuted.converged
+        assert permuted.loglik == pytest.approx(fit.loglik, rel=1e-10)
+        layout = ParamLayout(2, 3, 2)
+        np.testing.assert_allclose(np.concatenate([layout.pack(permuted.params), permuted.params.pi]),
+                                   np.concatenate([layout.pack(fit.params), fit.params.pi]),
+                                   rtol=0, atol=1e-6)
+
+    def test_boundary_optimum_is_reached_and_not_certified(self):
+        # replication 6 of default_design(n=500): the MLE has phi[2] = 1 with its free
+        # score clipped, so the natural-coordinate score cannot vanish there
+        design = default_design(n=500, seed=0)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=design.seed, spawn_key=(6,)))
+        records, _ = generate_dataset(design, rng)
+        config = EMConfig(n_restarts=2, max_iter=20_000, seed=_replication_seed(0, 6))
+        fit = em_fit(records, 2, config, n_levels=3, n_items=2)
+        assert fit.n_iter <= config.max_iter
+        assert not fit.converged
+        assert "first-order condition not met at exit" in fit.diagnostics
+        # the accelerated-EM fit of the same data reached -5710.4728652936
+        assert fit.loglik >= -5710.4728652936
+        assert fit.params.ordinal.phi[1] > 0.9999
+
+    def test_max_iter_bounds_evaluations(self):
+        design = default_design(n=120, seed=4)
+        records, _ = generate_dataset(design)
+        for max_iter in (1, 2, 7):
+            fit = em_fit(records, 2, EMConfig(n_restarts=1, max_iter=max_iter, seed=3))
+            assert fit.n_iter == max_iter
+            assert not fit.converged
+            assert np.all(np.diff(fit.loglik_trace) >= -1e-10)
+
+    def test_hazard_shares_the_packed_times(self):
+        design = default_design(n=60, seed=5)
+        packed = PackedData(generate_dataset(design)[0], 3, 2)
+        fit = em_fit(packed, 2, EMConfig(n_restarts=1, max_iter=5, seed=0))
+        assert np.shares_memory(fit.hazard.times, packed.distinct_times)
 
     def test_single_group_consistency(self):
         # R=1 data fit with R=1 recovers the generating ordinal/survival
@@ -316,6 +365,66 @@ class TestEmFit:
             em_fit(records, 3, EMConfig(n_restarts=1, max_iter=5), init=params)
         fit = em_fit(records, 2, EMConfig(n_restarts=1, max_iter=5, seed=0), init=params)
         assert fit.loglik_trace.size >= 1
+
+
+class TestProfileObjective:
+    """The fit's objective against the public fixed point and observed log-likelihood."""
+
+    @staticmethod
+    def profile_loglik(packed, params):
+        gamma, tables = fixed_point_posterior(packed, params)
+        return observed_loglik(packed, params, tables)
+
+    @staticmethod
+    def point(layout, z):
+        logit = np.concatenate([[0.0], z[layout.n_free:]])
+        pi = np.exp(logit) / np.exp(logit).sum()
+        return layout.unpack_opt(z[:layout.n_free], pi)
+
+    @pytest.mark.parametrize("n_groups, n_levels, seed", [(2, 3, 31), (3, 4, 32)])
+    def test_value_and_gradient_match_the_profile_loglik(self, n_groups, n_levels, seed):
+        rng = np.random.default_rng(seed)
+        truth = random_params(rng, n_groups, n_levels, 2)
+        packed = PackedData.coerce(random_dataset(rng, 40, truth), n_levels, 2)
+        layout = ParamLayout(n_groups, n_levels, 2)
+        params = random_params(rng, n_groups, n_levels, 2)   # away from the optimum
+        log_pi = np.log(params.pi)
+        z = np.concatenate([layout.pack_opt(params), log_pi[1:] - log_pi[0]])
+        objective = _ProfileObjective(packed, layout, np.tile(params.pi, (packed.n, 1)))
+        f, g = objective(z)
+        expected = self.profile_loglik(packed, self.point(layout, z))
+        assert -f * packed.n == pytest.approx(expected, rel=1e-12)
+
+        fd = np.empty(z.size)
+        for c in range(z.size):
+            h = 1e-5 * max(1.0, abs(z[c]))
+            up, down = z.copy(), z.copy()
+            up[c] += h
+            down[c] -= h
+            fd[c] = (self.profile_loglik(packed, self.point(layout, up))
+                     - self.profile_loglik(packed, self.point(layout, down))) / (2 * h)
+        assert np.max(np.abs(fd)) > 1e-2         # the check is not at a stationary point
+        np.testing.assert_allclose(-g * packed.n, fd, rtol=1e-6, atol=1e-6)
+
+    def test_failed_evaluations_give_inf(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        params = two_group_params()
+        packed = PackedData.coerce(small_dataset(rng, 20, params), 3, 2)
+        layout = ParamLayout(2, 3, 2)
+        objective = _ProfileObjective(packed, layout, np.tile(params.pi, (20, 1)))
+        z = np.concatenate([layout.pack_opt(params), [0.0]])
+        z[layout.idx_d1] = np.inf
+        f, g = objective(z)
+        assert f == np.inf and objective.last is None
+        z[layout.idx_d1] = 0.0
+        z[-1] = -800.0                            # pi[2] underflows
+        assert objective(z)[0] == np.inf
+        z[-1] = 0.0
+        monkeypatch.setattr(jointmix.inference, "_FIXED_POINT_MAX_ITER", 1)
+        assert objective(z)[0] == np.inf          # the fixed point is not reached
+        monkeypatch.undo()
+        assert np.isfinite(objective(z)[0])
+        assert objective.n_eval == 4
 
 
 class TestConfigValidation:

@@ -11,7 +11,8 @@ from jointmix import (EmptyRiskSetError, HazardSteps, InvalidHazardError, Surviv
                       survival_profile_score)
 from jointmix.data import PackedData
 from jointmix.simulation import ConstantBaseline
-from jointmix.survival import efficient_scores, loglik_matrix, profile_scores, profiled_loglik
+from jointmix.survival import (RiskSetTables, efficient_scores, loglik_matrix, profile_scores,
+                               profiled_loglik)
 
 from conftest import make_subject, random_gamma, survival_only
 
@@ -228,6 +229,40 @@ class TestCumHazard:
         clear = np.append(just_right[:-1] < times[1:], True)
         np.testing.assert_allclose(hazard.cum(times)[clear], hazard.cum(just_right)[clear],
                                    rtol=0, atol=0)
+
+    def test_cum_is_prefix_sum_read_right_continuously(self):
+        times = np.array([0.5, 1.0, 2.0, 3.5])
+        jumps = np.array([0.2, 0.0, 0.7, 0.1])
+        hazard = HazardSteps(times, jumps)
+        grid = np.array([0.0, 0.4, 0.5, 0.9, 1.0, 2.0, 3.0, 3.5, 10.0])
+        prefix = np.concatenate([[0.0], np.cumsum(jumps)])
+        expected = prefix[np.searchsorted(times, grid, side="right")]
+        np.testing.assert_array_equal(hazard.cum(grid), expected)
+        assert hazard.total == prefix[-1]
+
+    def test_writable_inputs_are_copied(self):
+        times = np.array([1.0, 2.0, 3.0])
+        jumps = np.array([0.1, 0.2, 0.3])
+        hazard = HazardSteps(times, jumps)
+        times[:] = [4.0, 5.0, 6.0]
+        jumps[:] = 9.0
+        np.testing.assert_array_equal(hazard.times, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(hazard.jumps, [0.1, 0.2, 0.3])
+        assert hazard.cum(2.5) == pytest.approx(0.3, rel=1e-15)
+
+    def test_readonly_owning_inputs_are_shared(self):
+        records = survival_only([0.5, 1.0, 1.0, 2.0], [1, 0, 1, 1], [0.1, -0.3, 0.2, 0.0])
+        packed = PackedData.coerce(records)
+        tables = RiskSetTables(packed, np.ones((4, 1)), np.array([0.0]), SurvivalParams(0.0, 0.2))
+        assert not tables.jumps.flags.writeable
+        hazard = tables.hazard_steps()
+        assert np.shares_memory(hazard.times, packed.distinct_times)
+        assert np.shares_memory(hazard.jumps, tables.jumps)
+        # a read-only view of a writable array is still copied
+        base = np.array([1.0, 2.0])
+        view = base[:]
+        view.flags.writeable = False
+        assert not np.shares_memory(HazardSteps(view, np.ones(2)).times, base)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
