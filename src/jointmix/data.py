@@ -152,17 +152,12 @@ class PackedData:
         for arr in (self.times, self.events, self.covariates, self.counts, self.cells,
                     self.distinct_times, self.time_index, self.event_counts):
             arr.flags.writeable = False
-        self._records = tuple(records)
 
     @classmethod
     def coerce(cls, data, n_levels: int | None = None, n_items: int | None = None) -> "PackedData":
         if isinstance(data, cls):
             return data
         return cls(data, n_levels=n_levels, n_items=n_items)
-
-    @property
-    def records(self) -> tuple[SubjectRecord, ...]:
-        return self._records
 
     def suffix_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum ``values`` over subjects at risk at each distinct time.

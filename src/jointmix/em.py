@@ -16,7 +16,12 @@ Each restart takes one plain EM step first (an E-step, then the M-step with
 pi set to the responsibility column means), which moves a random start into
 a better basin, and then runs BFGS with Armijo backtracking
 (:class:`_InnerOptimizer`) on -pl(z) / n, warm-starting every fixed-point
-solve from the previous evaluation's responsibilities.  An evaluation whose
+solve from the previous evaluation's responsibilities.  The BFGS inverse
+Hessian starts from inv(S'S / n), the inverse outer product of the
+per-subject profile scores S in z at the first evaluation
+(:meth:`_ProfileObjective.inverse_opg`; Berndt, Hall, Hall & Hausman 1974),
+which estimates the curvature of -pl / n without a further fixed-point
+solve; where S'S is singular it starts from the identity.  An evaluation whose
 fixed point does not converge, that meets an empty risk set, or whose
 weights, hazard jumps or subject densities over- or underflow returns +inf,
 so the line search backs off.
@@ -32,8 +37,9 @@ log-likelihood and profiled M-step objective in :mod:`data` and
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +50,7 @@ from .data import PackedData
 from .likelihood import (DegenerateSubjectError, _gamma_of, _loglik_and_posterior,
                          _loglik_components, _posterior_matrix)
 from .ordinal import OrdinalParams
-from .params import ModelParams, ParamLayout, phi_from_u
+from .params import ModelParams, ParamLayout, _phi_chain, phi_from_u
 from .survival import HazardSteps, RiskSetTables, SurvivalParams
 
 _COLLAPSE_PI = 1e-6
@@ -112,11 +118,16 @@ class EMConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameters with the hazard, responsibilities and inference byproducts."""
+    """Fitted parameters with the hazard, responsibilities and inference byproducts.
+
+    ``packed`` is the dataset the fit was made on, shared, not copied.  The
+    responsibilities are not stored: :attr:`posterior` is the E-step at
+    ``(params, hazard)`` on ``packed``, computed on first read and then kept,
+    so a fit that is only kept for its parameters holds no (n, R) array.
+    """
 
     params: ModelParams
     hazard: HazardSteps
-    posterior: Posterior
     loglik_trace: np.ndarray
     std_errors: np.ndarray
     info_matrix: np.ndarray
@@ -124,11 +135,16 @@ class FitResult:
     n_iter: int
     param_names: tuple[str, ...]
     info_condition: float
+    packed: PackedData = field(repr=False, compare=False)
     diagnostics: tuple[str, ...] = ()
 
     @property
     def loglik(self) -> float:
         return float(self.loglik_trace[-1])
+
+    @functools.cached_property
+    def posterior(self) -> Posterior:
+        return Posterior(_posterior_matrix(self.packed, self.params, self.hazard))
 
 
 # ------------------------------------------------------------ likelihood core
@@ -225,7 +241,10 @@ class _InnerOptimizer:
 
     :meth:`minimize` calls ``fun`` at most ``max_eval`` times, the start
     included, and passes the start and every accepted iterate to
-    ``accept(x, f)``, which ends the search by returning True.
+    ``accept(x, f)``, which ends the search by returning True.  Without a
+    kept approximation the search starts from ``h0()``, called once after a
+    finite first evaluation, or from the identity when ``h0`` is omitted or
+    returns None; only the identity is rescaled after the first step.
     """
 
     def __init__(self, n_dim: int):
@@ -236,14 +255,16 @@ class _InnerOptimizer:
         self.h = None
 
     def minimize(self, fun, x0: np.ndarray, gtol: float = _INNER_GTOL, max_iter: int = 50,
-                 max_eval: float = np.inf, accept=None):
+                 max_eval: float = np.inf, accept=None, h0=None):
         x = np.asarray(x0, dtype=float)
         f, g = fun(x)
         n_eval = 1
         if not np.isfinite(f) or (accept is not None and accept(x, f)):
             return x, f, g, False
-        fresh = self.h is None
-        h = np.eye(x.size) if fresh else self.h
+        h = self.h if self.h is not None or h0 is None else h0()
+        fresh = h is None
+        if fresh:
+            h = np.eye(x.size)
         for _ in range(max_iter):
             if np.max(np.abs(g)) <= gtol:
                 break
@@ -379,7 +400,7 @@ def draw_initial_params(rng: np.random.Generator, n_groups: int, n_levels: int,
 class _ProfileObjective:
     """-pl(z) / n and its gradient at z = (``pack_opt``, logit pi[2..R] against group 1).
 
-    Counts its calls and keeps the parameters, responsibilities and
+    Counts its calls and keeps the point, parameters, responsibilities and
     log-likelihood of its last finite call; those responsibilities
     warm-start the next fixed-point solve.
     """
@@ -388,7 +409,7 @@ class _ProfileObjective:
         self.packed = packed
         self.layout = layout
         self.gamma = gamma
-        self.last: tuple[ModelParams, float] | None = None
+        self.last: tuple[np.ndarray, ModelParams, float] | None = None
         self.n_eval = 0
 
     def __call__(self, z: np.ndarray):
@@ -415,9 +436,27 @@ class _ProfileObjective:
         if not (np.isfinite(f_q) and np.isfinite(solve.loglik)):
             return failed
         self.gamma = solve.gamma
-        self.last = params, solve.loglik
+        self.last = z, params, solve.loglik
         pi_score = (np.ones(packed.n) @ solve.gamma)[1:] / packed.n - params.pi[1:]
         return -solve.loglik / packed.n, np.concatenate([g_q, -pi_score])
+
+    def inverse_opg(self) -> np.ndarray | None:
+        """inv(S'S / n) at the last finite call, or None where S'S is singular.
+
+        S holds the per-subject profile scores in z: ``score_matrix`` at the
+        call's fixed-point responsibilities, its phi block mapped to u, and
+        the logit-pi scores gamma_ir - pi_r.  S'S / n estimates the Hessian of
+        -pl(z) / n (the BHHH approximation), with no further fixed-point solve.
+        """
+        z, params, _ = self.last
+        lay, gamma = self.layout, self.gamma
+        scores = _inference.score_matrix(self.packed, params, gamma)
+        scores[:, lay.sl_phi] = _phi_chain(scores[:, lay.sl_phi], z[lay.sl_phi], lay.L)
+        info = _inference._info_from_scores(
+            np.hstack([scores, gamma[:, 1:] - params.pi[1:]]))
+        if not info.condition < _inference._SINGULAR_CONDITION:
+            return None
+        return np.linalg.inv(info.matrix)
 
 
 def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig):
@@ -456,7 +495,7 @@ def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig):
     def accept(z, f):
         """Record an accepted iterate; True once the tolerance rule holds."""
         nonlocal previous
-        params, ll = objective.last
+        _, params, ll = objective.last
         natural = np.concatenate([layout.pack(params), params.pi])
         done = (previous is not None
                 and abs(ll - previous[0]) / max(1.0, abs(previous[0])) < config.tol_loglik
@@ -472,7 +511,8 @@ def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig):
     z0 = np.concatenate([layout.pack_opt(start), log_pi[1:] - log_pi[0]])
     budget = config.max_iter - result["n_iter"]
     _InnerOptimizer(z0.size).minimize(objective, z0, gtol=0.0, max_iter=budget,
-                                      max_eval=budget, accept=accept)
+                                      max_eval=budget, accept=accept,
+                                      h0=objective.inverse_opg)
     result["n_iter"] += objective.n_eval
     if previous is not None and result["status"] != "converged":
         result["status"] = "max_iter" if objective.n_eval >= budget else "line search failure"
@@ -488,7 +528,8 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
     """Fit the joint mixture by maximizing the profile likelihood, with restarts.
 
     Each restart takes one EM step from its start and then ascends the
-    profile log-likelihood by BFGS (see the module docstring) until the
+    profile log-likelihood by BFGS, started from the inverse outer-product
+    information at the first evaluation (see the module docstring), until the
     ``config`` tolerance rule holds between two accepted iterates, the
     line search can make no progress, or ``config.max_iter`` evaluations
     are spent.  A restart whose smallest weight or responsibility mass ends
@@ -512,9 +553,14 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
     -------
     FitResult
         Best restart (converged first, then by final log-likelihood), relabeled
-        so theta is ascending, with its fixed-point responsibilities, the
-        hazard profiled from them, the empirical efficient information matrix
-        and model-based standard errors.  ``n_iter`` is that restart's
+        so theta is ascending, with the hazard profiled from its fixed-point
+        responsibilities, the empirical efficient information matrix and
+        model-based standard errors, all taken at those responsibilities.
+        The fit keeps no responsibilities: ``posterior`` is the E-step at
+        ``(params, hazard)``, computed on first read.  At a converged exit
+        that is one more fixed-point step, so it differs from the
+        responsibilities above by about the fixed point's 1e-12 stopping
+        tolerance.  ``n_iter`` is that restart's
         evaluation count and ``loglik_trace`` its log-likelihood at the start
         and at every accepted iterate.  ``converged`` additionally requires the
         dataset-mean profile score at the fixed-point responsibilities to have
@@ -550,15 +596,14 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
     params, _, gamma = relabel_ascending(params, None, gamma)
     tables = RiskSetTables(packed, gamma, params.theta, params.survival)
 
+    scores = _inference.score_matrix(packed, params, gamma, tables)
     converged = best["converged"]
-    if converged:
-        scores = _inference.score_matrix(packed, params, gamma, tables)
-        if np.max(np.abs(scores.mean(axis=0))) > _FIRST_ORDER_TOL:
-            converged = False
-            diagnostics.append("first-order condition not met at exit")
+    if converged and np.max(np.abs(scores.mean(axis=0))) > _FIRST_ORDER_TOL:
+        converged = False
+        diagnostics.append("first-order condition not met at exit")
 
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
-    info = _inference.information_matrix(packed, params, gamma, tables)
+    info = _inference._info_from_scores(scores)
     try:
         std_errors = _inference.standard_errors(info, packed.n)
     except _inference.SingularInformationError as err:
@@ -569,7 +614,6 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
     return FitResult(
         params=params,
         hazard=tables.hazard_steps(),
-        posterior=Posterior(gamma),
         loglik_trace=np.asarray(best["trace"]),
         std_errors=std_errors,
         info_matrix=info.matrix,
@@ -577,5 +621,6 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
         n_iter=best["n_iter"],
         param_names=tuple(layout.names),
         info_condition=info.condition,
+        packed=packed,
         diagnostics=tuple(diagnostics),
     )

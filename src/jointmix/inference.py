@@ -107,9 +107,12 @@ def information_matrix(data, params: ModelParams, posterior,
     Positive semidefinite by construction; singularity is reported through
     the condition number, never raised here.
     """
-    scores = score_matrix(data, params, posterior, tables)
-    n = scores.shape[0]
-    m = scores.T @ scores / n
+    return _info_from_scores(score_matrix(data, params, posterior, tables))
+
+
+def _info_from_scores(scores: np.ndarray) -> InfoMatrix:
+    """:class:`InfoMatrix` of per-subject scores, one row per subject."""
+    m = scores.T @ scores / scores.shape[0]
     m = (m + m.T) / 2.0
     eigs = np.linalg.eigvalsh(m)                  # ascending
     condition = np.inf if eigs[0] <= 0 else float(eigs[-1] / eigs[0])

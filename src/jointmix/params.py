@@ -167,11 +167,19 @@ def u_from_phi(phi: np.ndarray) -> np.ndarray:
 
 
 def _phi_chain(grad_phi: np.ndarray, u: np.ndarray, n_levels: int) -> np.ndarray:
-    # d phi_l / d u_k = s_k (1{k<=l} - phi_l) / S for l, k in 2..L-1
-    u = np.clip(np.asarray(u, dtype=float), -_U_BOUND, _U_BOUND)
+    """Map phi-gradients (last axis, length L-2) to u-gradients through :func:`phi_from_u`.
+
+    d phi_l / d u_k = s_k (1{k<=l} - phi_l) / S for l, k in 2..L-1, and zero
+    where |u_k| >= ``_U_BOUND``: ``phi_from_u`` clips u there, so phi does not
+    move with it.
+    """
+    u = np.asarray(u, dtype=float)
+    inside = np.abs(u) < _U_BOUND
+    u = np.clip(u, -_U_BOUND, _U_BOUND)
     phi = phi_from_u(u, n_levels)
     shift = u.max(initial=0.0)
     s = np.exp(np.concatenate([u - shift, [-shift]]))
-    w = s[:-1] / s.sum()
-    suffix = np.cumsum(grad_phi[::-1])[::-1]
-    return w * (suffix - grad_phi @ phi[1:n_levels - 1])
+    w = np.where(inside, s[:-1] / s.sum(), 0.0)
+    grad_phi = np.asarray(grad_phi, dtype=float)
+    suffix = np.cumsum(grad_phi[..., ::-1], axis=-1)[..., ::-1]
+    return w * (suffix - (grad_phi @ phi[1:n_levels - 1])[..., None])

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import ResponseSet, SubjectRecord, SurvivalRecord
+from .data import ResponseSet, SubjectRecord, SurvivalRecord, _readonly
 from .em import EMConfig, em_fit
 from .ordinal import category_probs
 from .params import ModelParams, ParamLayout
@@ -199,8 +199,9 @@ def generate_dataset(design: SimDesign, rng: np.random.Generator | None = None):
         warnings.warn(f"realized censoring fraction {frac_censored:.2f} exceeds 0.8",
                       RuntimeWarning, stacklevel=2)
 
-    item_col = np.repeat(np.arange(1, J + 1), m_pts)
-    time_col = np.tile(np.arange(1, m_pts + 1), J)
+    # read-only and owning, so every subject's ResponseSet shares them uncopied
+    item_col = _readonly(np.repeat(np.arange(1, J + 1), m_pts), np.int64)
+    time_col = _readonly(np.tile(np.arange(1, m_pts + 1), J), np.int64)
     records = []
     for i in range(n):
         responses = ResponseSet(item_col, time_col, levels[i].reshape(-1))

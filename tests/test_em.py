@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from jointmix import (EMConfig, HazardSteps, ModelParams, OrdinalParams, ParamLa
                       relabel_ascending, survival_loglik)
 from jointmix.data import PackedData
 from jointmix.survival import RiskSetTables
-from jointmix.em import _m_step_theta_full, _MStepContext, _ProfileObjective, draw_initial_params
+from jointmix.em import (_InnerOptimizer, _m_step_theta_full, _MStepContext, _ProfileObjective,
+                         draw_initial_params)
 from jointmix.simulation import (ConstantBaseline, NoCensoring, SimDesign, UniformCensoring,
                                  _replication_seed, default_design, generate_dataset)
 
@@ -325,6 +328,50 @@ class TestEmFit:
         fit = em_fit(packed, 2, EMConfig(n_restarts=1, max_iter=5, seed=0))
         assert np.shares_memory(fit.hazard.times, packed.distinct_times)
 
+    def test_posterior_is_the_e_step_at_the_fit(self, converged_fit):
+        _, records, fit = converged_fit
+        expected = e_step(PackedData(records, 3, 2), fit.params, fit.hazard).gamma
+        assert np.array_equal(fit.posterior.gamma, expected)
+        assert fit.posterior is fit.posterior
+
+    def test_kept_fit_holds_no_posterior(self):
+        # n = 2 000: an (n, R) array is 32 000 bytes, twice the allowance over the jumps
+        packed = PackedData(generate_dataset(default_design(n=2000, seed=8))[0], 3, 2)
+        config = EMConfig(n_restarts=1, seed=0)
+        tracemalloc.start()
+        try:
+            fit = em_fit(packed, 2, config)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+            jumps = fit.hazard.jumps.nbytes
+            assert fit.packed is packed
+            del fit
+            gc.collect()
+            retained = kept - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert jumps >= 8 * packed.n_times
+        assert retained <= jumps + 16 * 1024
+
+    def test_bfgs_starts_from_a_positive_definite_inverse_opg(self, converged_fit, monkeypatch):
+        _, records, fit = converged_fit
+        starts = []
+        inverse_opg = _ProfileObjective.inverse_opg
+
+        def spy(objective):
+            h0 = inverse_opg(objective)
+            starts.append(h0)
+            return h0
+
+        monkeypatch.setattr(_ProfileObjective, "inverse_opg", spy)
+        refit = em_fit(records, 2, EMConfig(n_restarts=2, max_iter=4000, seed=5))
+        assert refit.n_iter == fit.n_iter
+        assert len(starts) == 2
+        for h0 in starts:
+            assert h0 is not None and h0.shape == (8, 8)
+            np.testing.assert_allclose(h0, h0.T, rtol=0, atol=1e-12 * np.max(np.abs(h0)))
+            assert np.linalg.eigvalsh((h0 + h0.T) / 2)[0] > 0
+
     def test_single_group_consistency(self):
         # R=1 data fit with R=1 recovers the generating ordinal/survival
         # parameters within Monte Carlo error at n=500
@@ -425,6 +472,32 @@ class TestProfileObjective:
         monkeypatch.undo()
         assert np.isfinite(objective(z)[0])
         assert objective.n_eval == 4
+
+
+class TestInnerOptimizer:
+    def test_h0_gives_the_newton_step_on_a_quadratic(self):
+        a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+        b = np.array([1.0, -2.0, 0.5])
+
+        def fun(x):
+            return 0.5 * x @ a @ x - b @ x, a @ x - b
+
+        x, _, _, reached = _InnerOptimizer(3).minimize(fun, np.zeros(3), gtol=1e-12,
+                                                       max_eval=2, h0=lambda: np.linalg.inv(a))
+        assert reached
+        np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-12)
+        _, _, _, reached = _InnerOptimizer(3).minimize(fun, np.zeros(3), gtol=1e-12, max_eval=2)
+        assert not reached
+
+    def test_singular_opg_falls_back_to_the_identity(self):
+        # at R = 1 the delta0 score is identically zero, so S'S / n is singular
+        rng = np.random.default_rng(41)
+        params = random_params(rng, 1, 3, 2)
+        packed = PackedData.coerce(random_dataset(rng, 40, params), 3, 2)
+        layout = ParamLayout(1, 3, 2)
+        objective = _ProfileObjective(packed, layout, np.ones((packed.n, 1)))
+        assert np.isfinite(objective(layout.pack_opt(params))[0])
+        assert objective.inverse_opg() is None
 
 
 class TestConfigValidation:

@@ -91,3 +91,28 @@ class TestPhiReparameterization:
             um[k] -= step
             numeric[k] = grad_phi @ (phi_from_u(up, L) - phi_from_u(um, L))[1:L - 1] / (2 * step)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-10)
+
+    def test_chain_rule_is_zero_where_u_is_clipped(self):
+        # phi_from_u clips u at +-15, so beyond it phi, and any objective of phi, is flat in u
+        L = 5
+        u = np.array([20.0, 0.3, -1.0])
+        grad_phi = np.array([0.7, -1.3, 0.4])
+        analytic = _phi_chain(grad_phi, u, L)
+        step = 1e-6
+        numeric = np.zeros_like(u)
+        for k in range(u.size):
+            up, um = u.copy(), u.copy()
+            up[k] += step
+            um[k] -= step
+            numeric[k] = grad_phi @ (phi_from_u(up, L) - phi_from_u(um, L))[1:L - 1] / (2 * step)
+        assert analytic[0] == 0.0 and numeric[0] == 0.0
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-10)
+
+    def test_chain_rule_maps_score_rows(self):
+        rng = np.random.default_rng(3)
+        L = 5
+        u = rng.normal(0, 1, L - 2)
+        rows = rng.normal(0, 1, (4, L - 2))
+        mapped = _phi_chain(rows, u, L)
+        for row, out in zip(rows, mapped):
+            np.testing.assert_allclose(out, _phi_chain(row, u, L), rtol=1e-14, atol=1e-15)
