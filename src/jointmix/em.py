@@ -11,6 +11,10 @@ objective's gradient (:meth:`_MStepContext.neg_q_grad`) at the fixed-point
 responsibilities, because at the fixed point the derivatives through the
 hazard and the posterior cancel (the envelope identity behind
 :func:`survival.profiled_loglik`), plus the pi score sum_i (gamma_ir - pi_r).
+That objective and its natural-coordinate gradient are
+:class:`likelihood._CollapsedQ`, the kernel that
+:func:`inference.mean_profile_score` and :func:`inference.info_identity_check`
+also evaluate at the fixed point.
 
 Each restart takes one plain EM step first (an E-step, then the M-step with
 pi set to the responsibility column means), which moves a random start into
@@ -30,9 +34,9 @@ is nondecreasing.
 
 The EM building blocks (:func:`e_step`, :func:`m_step_pi`,
 :func:`m_step_theta`, :func:`observed_loglik`) stay public.  The likelihood
-core lives in :mod:`likelihood`, the risk-set sums, Breslow jumps, survival
-log-likelihood and profiled M-step objective in :mod:`data` and
-:mod:`survival`.
+core and the collapsed M-step objective live in :mod:`likelihood`, the
+risk-set sums, Breslow jumps, survival log-likelihood and its profiled
+gradient in :mod:`data` and :mod:`survival`.
 """
 
 from __future__ import annotations
@@ -44,10 +48,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import inference as _inference
-from . import ordinal as _ordinal
 from . import survival as _survival
 from .data import PackedData
-from .likelihood import (DegenerateSubjectError, _gamma_of, _loglik_and_posterior,
+from .likelihood import (DegenerateSubjectError, _CollapsedQ, _gamma_of, _loglik_and_posterior,
                          _loglik_components, _posterior_matrix)
 from .ordinal import OrdinalParams
 from .params import ModelParams, ParamLayout, _phi_chain, phi_from_u
@@ -179,21 +182,16 @@ def observed_loglik(data, params: ModelParams, hazard) -> float:
 # ------------------------------------------------------------ inner optimizer
 
 class _MStepContext:
-    """Sufficient statistics of the M-step objective for fixed responsibilities.
+    """The M-step objective -Q/n in optimizer coordinates for fixed responsibilities.
 
-    The ordinal part collapses over subjects into (R, J, L) tables, so each
-    objective evaluation costs O(nR) for the survival part only.
+    Q and its natural-coordinate gradient are :class:`likelihood._CollapsedQ`;
+    this maps optimizer coordinates to natural ones and the gradient back.
     """
 
     def __init__(self, packed: PackedData, gamma: np.ndarray, layout: ParamLayout):
-        self.packed = packed
-        self.gamma = gamma
         self.layout = layout
-        n = packed.n
-        self.wc = (gamma.T @ packed.counts.reshape(n, -1)).reshape(
-            layout.R, packed.n_items, packed.n_levels)
-        self.wm = gamma.T @ packed.cells
-        self.scale = 1.0 / n
+        self.q = _CollapsedQ(packed, gamma, layout)
+        self.scale = 1.0 / packed.n
         # hazard jumps profiled by the last evaluation, and where it was made
         self.last_y: np.ndarray | None = None
         self.last_jumps: np.ndarray | None = None
@@ -201,34 +199,13 @@ class _MStepContext:
     def neg_q_grad(self, y: np.ndarray):
         """Value and gradient of -Q/n at optimizer coordinates ``y``."""
         lay = self.layout
-        L = lay.L
         if not np.all(np.isfinite(y)):     # SurvivalParams below rejects such points
             return np.inf, np.zeros(lay.n_free)
-        theta = np.concatenate([[0.0], y[lay.sl_theta]])
-        a = np.concatenate([[0.0], y[lay.sl_a]])
-        b = np.concatenate([[0.0], y[lay.sl_b]])
-        phi = phi_from_u(y[lay.sl_phi], L)
-        d0, d1 = y[lay.idx_d0], y[lay.idx_d1]
-
-        xs = b[None, :] + theta[:, None]
-        eta, logz = _ordinal._linear_predictor(a, phi, b, theta)
-        q = float((self.wc * eta).sum() - (self.wm * logz).sum())
-        resid = self.wc - self.wm[:, :, None] * np.exp(eta - logz[:, :, None])
-        resid_phi = resid @ phi
-        grad = np.empty(lay.n_free)
-        grad[lay.sl_a] = resid.sum(axis=(0, 1))[1:]
-        grad[lay.sl_b] = resid_phi.sum(axis=0)[1:]
-        grad[lay.sl_phi] = (xs[:, :, None] * resid).sum(axis=(0, 1))[1:L - 1]
-        grad[lay.sl_theta] = resid_phi.sum(axis=1)[1:]
-
-        q_surv, g_surv, jumps = _survival.profiled_loglik(self.packed, self.gamma, theta,
-                                                          SurvivalParams(d0, d1))
+        q, grad, jumps = self.q.value_and_grad(
+            np.concatenate([[0.0], y[lay.sl_theta]]), np.concatenate([[0.0], y[lay.sl_a]]),
+            np.concatenate([[0.0], y[lay.sl_b]]), phi_from_u(y[lay.sl_phi], lay.L),
+            SurvivalParams(y[lay.idx_d0], y[lay.idx_d1]))
         self.last_y, self.last_jumps = y.copy(), jumps
-        q += q_surv
-        grad[lay.sl_theta] += g_surv[:lay.R - 1]
-        grad[lay.idx_d0] = g_surv[lay.R - 1]
-        grad[lay.idx_d1] = g_surv[lay.R]
-
         if not np.isfinite(q):
             return np.inf, np.zeros(lay.n_free)
         g_opt = lay.grad_to_opt(grad, y[lay.sl_phi])
@@ -459,6 +436,11 @@ class _ProfileObjective:
         return np.linalg.inv(info.matrix)
 
 
+def _collapsed(gamma: np.ndarray, pi: np.ndarray) -> bool:
+    """True when a group's responsibility mass or weight is below its collapse threshold."""
+    return bool((np.ones(gamma.shape[0]) @ gamma).min() < _COLLAPSE_MASS or pi.min() < _COLLAPSE_PI)
+
+
 def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig):
     """One restart from ``params``: an EM step, then BFGS ascent of pl (see the module docstring).
 
@@ -477,9 +459,8 @@ def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig):
     start = params
     if config.max_iter > 1:
         result["n_iter"] = 1
-        colsum = np.ones(packed.n) @ gamma
-        pi = colsum / packed.n
-        if colsum.min() < _COLLAPSE_MASS or pi.min() < _COLLAPSE_PI:
+        pi = (np.ones(packed.n) @ gamma) / packed.n
+        if _collapsed(gamma, pi):
             result["status"] = "component collapse"
             return result
         try:
@@ -493,7 +474,7 @@ def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig):
     previous = None
 
     def accept(z, f):
-        """Record an accepted iterate; True once the tolerance rule holds."""
+        """Record an accepted iterate; True once the tolerance rule holds or a group collapses."""
         nonlocal previous
         _, params, ll = objective.last
         natural = np.concatenate([layout.pack(params), params.pi])
@@ -503,6 +484,9 @@ def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig):
         previous = ll, natural
         result.update(params=params, gamma=objective.gamma)
         result["trace"].append(ll)
+        if _collapsed(objective.gamma, params.pi):
+            result["status"] = "component collapse"
+            return True
         if done:
             result["status"] = "converged"
         return done
@@ -514,11 +498,8 @@ def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig):
                                       max_eval=budget, accept=accept,
                                       h0=objective.inverse_opg)
     result["n_iter"] += objective.n_eval
-    if previous is not None and result["status"] != "converged":
+    if previous is not None and result["status"] not in ("converged", "component collapse"):
         result["status"] = "max_iter" if objective.n_eval >= budget else "line search failure"
-    colsum = np.ones(packed.n) @ result["gamma"]
-    if colsum.min() < _COLLAPSE_MASS or result["params"].pi.min() < _COLLAPSE_PI:
-        result["status"] = "component collapse"
     result["converged"] = result["status"] == "converged"
     return result
 
@@ -532,8 +513,9 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
     information at the first evaluation (see the module docstring), until the
     ``config`` tolerance rule holds between two accepted iterates, the
     line search can make no progress, or ``config.max_iter`` evaluations
-    are spent.  A restart whose smallest weight or responsibility mass ends
-    below the collapse thresholds does not count as converged.
+    are spent.  A restart stops, and does not count as converged, as soon as
+    the smallest weight or responsibility mass of an accepted iterate falls
+    below the collapse thresholds.
 
     Parameters
     ----------

@@ -13,7 +13,7 @@ import numpy as np
 from . import ordinal as _ordinal
 from . import survival as _survival
 from .data import PackedData, SubjectRecord
-from .likelihood import _gamma_of, _loglik_and_posterior, _posterior_matrix
+from .likelihood import _CollapsedQ, _gamma_of, _loglik_and_posterior, _posterior_matrix
 from .params import ModelParams, ParamLayout
 from .survival import HazardSteps, RiskSetTables
 
@@ -158,11 +158,11 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
                        tol: float, max_iter: int) -> _FixedPoint:
     """Iterate responsibilities and the hazard profiled from them; builds no tables.
 
-    Returns the last step's responsibilities, the hazard ``(jumps, cum)`` that
-    step profiled, the observed log-likelihood at that hazard, the number of
-    steps taken and whether the last one moved no responsibility by ``tol``.
-    The responsibilities are the posterior at the returned hazard, so the three
-    describe one point exactly.
+    Returns the last step's responsibilities, read-only, the hazard
+    ``(jumps, cum)`` that step profiled, the observed log-likelihood at that
+    hazard, the number of steps taken and whether the last one moved no
+    responsibility by ``tol``.  The responsibilities are the posterior at the
+    returned hazard, so the three describe one point exactly.
 
     The ordinal log-likelihoods, d_i lp_ir, log pi_r and exp(lp_ir) do not
     change while the parameters are fixed, so they are formed once; each
@@ -190,6 +190,7 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
             break
     ev = packed.event_counts > 0
     loglik += float(packed.event_counts[ev] @ np.log(jumps[ev]))
+    gamma.flags.writeable = False             # RiskSetTables can then share it
     return _FixedPoint(gamma, (jumps, cum), loglik, n_steps, converged)
 
 
@@ -201,8 +202,9 @@ def fixed_point_posterior(data, params: ModelParams, gamma0: np.ndarray | None =
     iterating the pair converges under the contraction condition checked by
     :func:`contraction_check`.  Iteration stops once no responsibility moves
     by ``tol`` or more, and warns after ``max_iter`` steps without that.
-    Returns ``(gamma, tables)`` with the tables built from the final
-    responsibilities.  The iteration itself is :func:`_solve_fixed_point`.
+    Returns ``(gamma, tables)``: ``gamma`` is read-only, and the tables are
+    built from it and share it rather than copy it.  The iteration itself is
+    :func:`_solve_fixed_point`.
     """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
     solve = _solve_fixed_point(packed, params, gamma0, tol, max_iter)
@@ -211,11 +213,34 @@ def fixed_point_posterior(data, params: ModelParams, gamma0: np.ndarray | None =
     return solve.gamma, RiskSetTables(packed, solve.gamma, params.theta, params.survival)
 
 
+def _mean_score_at(packed: PackedData, params: ModelParams,
+                   gamma0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Mean profile score at ``params`` and the fixed-point responsibilities behind it.
+
+    Solves the fixed point from ``gamma0`` (warning, for the public caller's
+    caller, when it does not converge) and takes the gradient of Q/n there
+    from :class:`likelihood._CollapsedQ`; no tables or score matrix are built.
+    """
+    solve = _solve_fixed_point(packed, params, gamma0, _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER)
+    if not solve.converged:
+        warnings.warn("responsibility fixed point did not converge", RuntimeWarning, stacklevel=3)
+    layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
+    _, grad, _ = _CollapsedQ(packed, solve.gamma, layout).value_and_grad(
+        params.theta, params.ordinal.a, params.ordinal.b, params.ordinal.phi, params.survival)
+    return grad / packed.n, solve.gamma
+
+
 def mean_profile_score(data, params: ModelParams, gamma0: np.ndarray | None = None) -> np.ndarray:
-    """Dataset-mean profile score with hazard and responsibilities re-profiled."""
+    """Dataset-mean profile score with hazard and responsibilities re-profiled.
+
+    At the fixed-point responsibilities the mean of ``score_matrix`` equals the
+    gradient of Q/n with the hazard profiled out (the envelope identity), so
+    this solves the fixed point from ``gamma0`` and takes that gradient from
+    the collapsed (R, J, L) ordinal tables and the survival risk-set sums,
+    with no per-subject scores.  Warns when the fixed point does not converge.
+    """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
-    gamma, tables = fixed_point_posterior(packed, params, gamma0)
-    return score_matrix(packed, params, gamma, tables).mean(axis=0)
+    return _mean_score_at(packed, params, gamma0)[0]
 
 
 @dataclass(frozen=True)
@@ -232,8 +257,15 @@ def info_identity_check(data, params: ModelParams, step: float = 1e-3) -> Identi
     empirical outer-product information at the same point.
 
     The hazard and the responsibilities are re-profiled (to their fixed
-    point) at every perturbed parameter point.  The per-coordinate step is
-    ``step * max(1, |coordinate|)``.
+    point) at every perturbed parameter point, and the mean score there is
+    :func:`mean_profile_score`'s collapsed Q-gradient.  Each plus-side solve
+    starts from the fixed point gamma* at ``params``; each minus-side solve
+    starts from max(2 gamma* - gamma+, 0) with its rows renormalized, the
+    plus side's solution reflected through gamma*, which is where the
+    minus side's fixed point lies to first order in the step.  The
+    outer-product information is ``information_matrix`` at gamma*.  The
+    per-coordinate step is ``step * max(1, |coordinate|)``.  Warns when a
+    fixed point does not converge.
     """
     if not 1e-5 <= step <= 1e-2:
         raise ValueError("step must lie in [1e-5, 1e-2]")
@@ -242,20 +274,23 @@ def info_identity_check(data, params: ModelParams, step: float = 1e-3) -> Identi
     gamma_star, tables_star = fixed_point_posterior(packed, params)
     info = information_matrix(packed, params, gamma_star, tables_star)
     x0 = layout.pack(params)
+    ones = np.ones(params.n_groups)
+
+    def perturbed(c: int, shift: float) -> ModelParams:
+        x = x0.copy()
+        x[c] += shift
+        try:
+            return layout.unpack(x, params.pi)
+        except ValueError as err:
+            raise ValueError(f"cannot perturb coordinate {layout.names[c]}: {err}") from err
+
     jac = np.empty((layout.n_free, layout.n_free))
     for c in range(layout.n_free):
         h = step * max(1.0, abs(x0[c]))
-        means = []
-        for sign in (1.0, -1.0):
-            x = x0.copy()
-            x[c] += sign * h
-            try:
-                perturbed = layout.unpack(x, params.pi)
-            except ValueError as err:
-                raise ValueError(f"cannot perturb coordinate {layout.names[c]}: {err}") from err
-            gamma, tables = fixed_point_posterior(packed, perturbed, gamma0=gamma_star)
-            means.append(score_matrix(packed, perturbed, gamma, tables).mean(axis=0))
-        col = -(means[0] - means[1]) / (2.0 * h)
+        plus, gamma_plus = _mean_score_at(packed, perturbed(c, h), gamma_star)
+        warm = np.maximum(2.0 * gamma_star - gamma_plus, 0.0)
+        minus, _ = _mean_score_at(packed, perturbed(c, -h), warm / (warm @ ones)[:, None])
+        col = -(plus - minus) / (2.0 * h)
         if not np.all(np.isfinite(col)):
             raise FloatingPointError(f"non-finite finite-difference column for {layout.names[c]}")
         jac[:, c] = col

@@ -111,11 +111,14 @@ class RiskSetTables:
     Holds the profiled hazard and the empirical M0/M1 tables the score
     functions need, indexed by the packed dataset's distinct observed times.
 
-    Only what needs ``gamma`` is computed at construction: ``jumps``,
-    ``m0_group`` (M0 per group) and ``m0_x`` (M0 weighted by X).  No
-    reference to ``gamma`` is kept.  ``cum_jumps``, ``m0``, ``ratio`` and
-    ``int_ratio`` are derived from those on first read and then kept, so a
-    caller that only wants the hazard pays for the risk-set sums alone.
+    ``gamma`` is kept read-only: an owning read-only float array, such as
+    the responsibilities :func:`inference.fixed_point_posterior` returns, is
+    shared; anything else is copied, so later writes to the caller's array
+    cannot reach the tables.  Only ``jumps`` is computed at construction, from
+    the risk-set sums of the rows' weight totals.  ``m0_group`` (M0 per
+    group), ``m0_x`` (M0 weighted by X), ``cum_jumps``, ``m0``, ``ratio`` and
+    ``int_ratio`` are derived on first read and then kept, so tables that
+    serve only the hazard hold gamma and the jumps alone.
 
     ``ratio[k]`` is M1/M0 at the k-th time in the score layout
     [theta[2..R], delta0, delta1]: delta0 M0_r / M0 for r = 2..R, then
@@ -125,22 +128,32 @@ class RiskSetTables:
 
     def __init__(self, packed: PackedData, gamma: np.ndarray, theta: np.ndarray,
                  delta: SurvivalParams):
-        gamma = np.asarray(gamma, dtype=float)
+        gamma = _readonly(gamma, float)
         theta = _readonly(theta, float)
         if gamma.shape != (packed.n, theta.size):
             raise ValueError(f"gamma must have shape ({packed.n}, {theta.size})")
+        self.gamma = gamma
         self.theta = theta
         self.delta = delta
         self.times = packed.distinct_times
-
-        w = gamma * np.exp(linear_predictors(theta, delta, packed.covariates))
+        self._packed = packed
         ones = np.ones(theta.size)                # row sums as BLAS products
-        s0_group = packed.suffix_sums(w)          # (K, R)
-        s0_x = packed.suffix_sums((w @ ones) * packed.covariates)
-        self.jumps, _ = breslow_steps(packed, s0_group @ ones)
+        self.jumps, _ = breslow_steps(packed, packed.suffix_sums(self._weights() @ ones))
         self.jumps.flags.writeable = False
-        self.m0_group = s0_group / packed.n
-        self.m0_x = s0_x / packed.n
+
+    def _weights(self) -> np.ndarray:
+        """gamma_ir exp(lp_ir), formed again on each call so no (n, R) array is kept."""
+        return self.gamma * np.exp(linear_predictors(self.theta, self.delta, self._packed.covariates))
+
+    @functools.cached_property
+    def m0_group(self) -> np.ndarray:
+        return self._packed.suffix_sums(self._weights()) / self._packed.n
+
+    @functools.cached_property
+    def m0_x(self) -> np.ndarray:
+        packed = self._packed
+        total = self._weights() @ np.ones(self.theta.size)
+        return packed.suffix_sums(total * packed.covariates) / packed.n
 
     @functools.cached_property
     def cum_jumps(self) -> np.ndarray:

@@ -265,20 +265,34 @@ class TestEmFit:
         Posterior(fit.posterior.gamma)  # revalidates the invariants
         assert np.all(np.diff(fit.params.theta) >= 0)
 
-    def test_three_group_trace_monotone_and_posterior_valid(self):
-        # the ascent moves three weights and two theta gaps at once
+    @staticmethod
+    def three_group_records():
         params = ModelParams(np.array([0.0, 1.5, 3.0]),
                              OrdinalParams(np.array([0.0, 0.3, -0.2]), np.array([0.0, 0.5, 1.0]),
                                            np.array([0.0, 0.4])),
                              SurvivalParams(0.6, -0.4), np.array([0.3, 0.4, 0.3]))
         design = SimDesign(n=150, params=params, n_time_points=3, baseline=ConstantBaseline(0.15),
                            censoring=UniformCensoring(10.0), seed=9)
-        records, _ = generate_dataset(design)
+        return generate_dataset(design)[0]
+
+    def test_three_group_trace_monotone_and_posterior_valid(self):
+        # the ascent moves three weights and two theta gaps at once
+        records = self.three_group_records()
         fit = em_fit(records, 3, EMConfig(n_restarts=1, max_iter=80, seed=4))
         assert fit.n_iter <= 80
         assert np.all(np.diff(fit.loglik_trace) >= -1e-10)
         Posterior(fit.posterior.gamma)
         assert np.all(np.diff(fit.params.theta) >= 0)
+
+    def test_collapse_ends_the_restart_at_the_first_collapsed_iterate(self):
+        # one group of this restart empties within 14 evaluations; checked only at the
+        # exit, the ascent would spend over 100 more on the collapsed point
+        with pytest.warns(RuntimeWarning, match="singular"):
+            fit = em_fit(self.three_group_records(), 3,
+                         EMConfig(n_restarts=1, max_iter=2000, seed=4))
+        assert fit.n_iter <= 20
+        assert "no converged restart; best status: component collapse" in fit.diagnostics
+        assert not fit.converged
 
     def test_exit_is_the_fixed_point_posterior(self, converged_fit):
         _, records, fit = converged_fit

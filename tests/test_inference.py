@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +169,33 @@ class TestInfoIdentity:
         assert abs(report.outer_product[k, k] - 1.0) <= 3 * mc_se
         gap = abs(report.fd_jacobian[k, k] - report.outer_product[k, k])
         assert gap / report.outer_product[k, k] < 0.01
+
+    @pytest.mark.parametrize("n_groups", [2, 3])
+    def test_jacobian_matches_the_score_matrix_oracle(self, n_groups):
+        # the per-point path the check took before the collapsed Q-gradient: a
+        # fixed-point solve warm-started at gamma*, then the mean of the score matrix
+        params, records, _ = dataset_and_gamma(60 + n_groups, n=300, n_groups=n_groups,
+                                               n_levels=4, n_items=3)
+        packed = PackedData.coerce(records, 4, 3)
+        layout = ParamLayout(n_groups, 4, 3)
+        step = 1e-3
+        report = info_identity_check(packed, params, step=step)
+
+        gamma_star, _ = fixed_point_posterior(packed, params)
+        x0 = layout.pack(params)
+        oracle = np.empty_like(report.fd_jacobian)
+        for c in range(x0.size):
+            h = step * max(1.0, abs(x0[c]))
+            means = []
+            for sign in (1.0, -1.0):
+                x = x0.copy()
+                x[c] += sign * h
+                perturbed = layout.unpack(x, params.pi)
+                gamma, tables = fixed_point_posterior(packed, perturbed, gamma0=gamma_star)
+                means.append(score_matrix(packed, perturbed, gamma, tables).mean(axis=0))
+            oracle[:, c] = -(means[0] - means[1]) / (2.0 * h)
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(report.fd_jacobian - oracle)) <= 1e-8 * scale
 
     def test_gap_small_on_moderate_sample(self):
         design = default_design(n=1500, seed=23)
@@ -347,6 +377,38 @@ class TestFixedPoint:
         value = mean_profile_score(records, params)
         assert value.shape == (ParamLayout(2, 3, 2).n_free,)
         assert np.all(np.isfinite(value))
+
+    @pytest.mark.parametrize("n_groups", [2, 3])
+    def test_mean_profile_score_is_the_score_matrix_mean(self, n_groups):
+        params, records, _ = dataset_and_gamma(85 + n_groups, n=200, n_groups=n_groups,
+                                               n_levels=4, n_items=3)
+        packed = PackedData.coerce(records, 4, 3)
+        gamma, tables = fixed_point_posterior(packed, params)
+        oracle = score_matrix(packed, params, gamma, tables).mean(axis=0)
+        value = mean_profile_score(packed, params)
+        assert np.max(np.abs(value - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_kept_pair_holds_gamma_and_jumps_only(self):
+        # n = 2 000, R = 3: gamma is 48 000 bytes and the per-group M0 table as much
+        params, records, _ = dataset_and_gamma(88, n=2000, n_groups=3)
+        packed = PackedData.coerce(records, 3, 2)
+        fixed_point_posterior(packed, params)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            gamma, tables = fixed_point_posterior(packed, params)
+            assert not gamma.flags.writeable
+            assert tables.gamma is gamma
+            assert RiskSetTables(packed, gamma, params.theta, params.survival).gamma is gamma
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+            allowance = gamma.nbytes + tables.jumps.nbytes + 16 * 1024
+            del gamma, tables
+            gc.collect()
+            retained = kept - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= allowance
 
     def test_true_posterior_rows_simplex(self):
         design = default_design(n=50, seed=82)
