@@ -18,21 +18,18 @@ import numpy as np
 
 from . import inference as _inference
 from .data import DataError, PackedData, ResponseSet, SubjectRecord, SurvivalRecord
-from .em import EMConfig, DegenerateSubjectError, MStepError, em_fit
+from .em import _NUMERIC_ERRORS, EMConfig, em_fit
 from .ordinal import OrdinalParams
 from .params import ModelParams, ParamLayout
 from .simulation import (ConstantBaseline, ExponentialCensoring, NoCensoring,
                          PiecewiseConstantBaseline, SimDesign, TwoPointCovariate,
                          UniformCensoring, generate_dataset, mc_normality)
-from .survival import (EmptyRiskSetError, InvalidHazardError, SurvivalParams)
+from .survival import SurvivalParams
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_NUMERIC = 3
-
-_NUMERIC_ERRORS = (FloatingPointError, EmptyRiskSetError, InvalidHazardError,
-                   DegenerateSubjectError, MStepError, np.linalg.LinAlgError)
 
 
 # ---------------------------------------------------------------- data files

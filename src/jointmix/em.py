@@ -16,11 +16,11 @@ That objective and its natural-coordinate gradient are
 :func:`inference.mean_profile_score` and :func:`inference.info_identity_check`
 also evaluate at the fixed point.
 
-Each restart takes one plain EM step first (an E-step, then the M-step with
-pi set to the responsibility column means), which moves a random start into
-a better basin, and then runs BFGS with Armijo backtracking
-(:class:`_InnerOptimizer`) on -pl(z) / n, warm-starting every fixed-point
-solve from the previous evaluation's responsibilities.  The BFGS inverse
+Each restart takes one plain EM step first (one fixed-point step from the
+prior weights, then :func:`m_step_theta` with pi set to the responsibility
+column means), which moves a random start into a better basin, and then runs
+BFGS with Armijo backtracking (:func:`_bfgs`) on -pl(z) / n, warm-starting
+every fixed-point solve from the previous evaluation's responsibilities.  The BFGS inverse
 Hessian starts from inv(S'S / n), the inverse outer product of the
 per-subject profile scores S in z at the first evaluation
 (:meth:`_ProfileObjective.inverse_opg`; Berndt, Hall, Hall & Hausman 1974),
@@ -60,14 +60,20 @@ _COLLAPSE_PI = 1e-6
 _COLLAPSE_MASS = 1.0
 _FIRST_ORDER_TOL = 1e-6
 _INNER_GTOL = 1e-7
+_M_STEP_MAX_ITER = 400
 
 
 class MStepError(RuntimeError):
-    """Inner optimizer failed; carries the best parameter point reached."""
+    """The M-step objective is not finite at the entry point, carried as ``best_params``."""
 
     def __init__(self, message: str, best_params: ModelParams):
         super().__init__(message)
         self.best_params = best_params
+
+
+# the typed numeric failures of a fit; callers that record a failed fit catch these only
+_NUMERIC_ERRORS = (FloatingPointError, _survival.EmptyRiskSetError, _survival.InvalidHazardError,
+                   DegenerateSubjectError, MStepError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -150,13 +156,7 @@ class FitResult:
         return Posterior(_posterior_matrix(self.packed, self.params, self.hazard))
 
 
-# ------------------------------------------------------------ likelihood core
-
-def _e_step(packed: PackedData, params: ModelParams, jumps: np.ndarray):
-    """Observed log-likelihood and responsibilities at a hazard given by its jumps."""
-    comp = _loglik_components(packed, params, (jumps, np.cumsum(jumps)))
-    return _loglik_and_posterior(packed, comp)
-
+# ------------------------------------------------------------ EM building blocks
 
 def e_step(data, params: ModelParams, hazard) -> Posterior:
     """Responsibilities at the current parameters and profiled hazard."""
@@ -179,7 +179,7 @@ def observed_loglik(data, params: ModelParams, hazard) -> float:
         raise FloatingPointError("observed log-likelihood is not finite") from err
 
 
-# ------------------------------------------------------------ inner optimizer
+# ------------------------------------------------------------ M-step and BFGS
 
 class _MStepContext:
     """The M-step objective -Q/n in optimizer coordinates for fixed responsibilities.
@@ -192,142 +192,98 @@ class _MStepContext:
         self.layout = layout
         self.q = _CollapsedQ(packed, gamma, layout)
         self.scale = 1.0 / packed.n
-        # hazard jumps profiled by the last evaluation, and where it was made
-        self.last_y: np.ndarray | None = None
-        self.last_jumps: np.ndarray | None = None
 
     def neg_q_grad(self, y: np.ndarray):
         """Value and gradient of -Q/n at optimizer coordinates ``y``."""
         lay = self.layout
         if not np.all(np.isfinite(y)):     # SurvivalParams below rejects such points
             return np.inf, np.zeros(lay.n_free)
-        q, grad, jumps = self.q.value_and_grad(
+        q, grad = self.q.value_and_grad(
             np.concatenate([[0.0], y[lay.sl_theta]]), np.concatenate([[0.0], y[lay.sl_a]]),
             np.concatenate([[0.0], y[lay.sl_b]]), phi_from_u(y[lay.sl_phi], lay.L),
             SurvivalParams(y[lay.idx_d0], y[lay.idx_d1]))
-        self.last_y, self.last_jumps = y.copy(), jumps
         if not np.isfinite(q):
             return np.inf, np.zeros(lay.n_free)
         g_opt = lay.grad_to_opt(grad, y[lay.sl_phi])
         return -q * self.scale, -g_opt * self.scale
 
 
-class _InnerOptimizer:
-    """BFGS with Armijo backtracking; the inverse-Hessian approximation is
-    kept across calls so consecutive M-steps warm-start each other.
+def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int, max_eval: float = np.inf,
+          accept=None, h0=None):
+    """Minimize ``fun`` (value and gradient) by BFGS with Armijo backtracking.
 
-    :meth:`minimize` calls ``fun`` at most ``max_eval`` times, the start
-    included, and passes the start and every accepted iterate to
-    ``accept(x, f)``, which ends the search by returning True.  Without a
-    kept approximation the search starts from ``h0()``, called once after a
-    finite first evaluation, or from the identity when ``h0`` is omitted or
-    returns None; only the identity is rescaled after the first step.
+    Calls ``fun`` at most ``max_eval`` times, the start included, and passes
+    the start and every accepted iterate to ``accept(x, f)``, which ends the
+    search by returning True.  The inverse Hessian starts from ``h0()``,
+    called once after a finite first evaluation, or from the identity when
+    ``h0`` is omitted or returns None; only the identity is rescaled after
+    the first step.  Returns the start or the last accepted ``(x, f, g)``.
     """
-
-    def __init__(self, n_dim: int):
-        self.n_dim = n_dim
-        self.h: np.ndarray | None = None
-
-    def reset(self):
-        self.h = None
-
-    def minimize(self, fun, x0: np.ndarray, gtol: float = _INNER_GTOL, max_iter: int = 50,
-                 max_eval: float = np.inf, accept=None, h0=None):
-        x = np.asarray(x0, dtype=float)
-        f, g = fun(x)
-        n_eval = 1
-        if not np.isfinite(f) or (accept is not None and accept(x, f)):
-            return x, f, g, False
-        h = self.h if self.h is not None or h0 is None else h0()
-        fresh = h is None
-        if fresh:
+    x = np.asarray(x0, dtype=float)
+    f, g = fun(x)
+    n_eval = 1
+    if not np.isfinite(f) or (accept is not None and accept(x, f)):
+        return x, f, g
+    h = None if h0 is None else h0()
+    fresh = h is None
+    if fresh:
+        h = np.eye(x.size)
+    for _ in range(max_iter):
+        if np.max(np.abs(g)) <= gtol:
+            break
+        d = -h @ g
+        slope = float(d @ g)
+        if slope >= 0:
             h = np.eye(x.size)
-        for _ in range(max_iter):
-            if np.max(np.abs(g)) <= gtol:
+            fresh = True
+            d = -g
+            slope = -float(g @ g)
+        step = 1.0
+        accepted = False
+        for _ in range(40):
+            if n_eval >= max_eval:
                 break
-            d = -h @ g
-            slope = float(d @ g)
-            if slope >= 0:
-                h = np.eye(x.size)
-                fresh = True
-                d = -g
-                slope = -float(g @ g)
-            step = 1.0
-            accepted = False
-            for _ in range(40):
-                if n_eval >= max_eval:
-                    break
-                x_new = x + step * d
-                f_new, g_new = fun(x_new)
-                n_eval += 1
-                if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
+            x_new = x + step * d
+            f_new, g_new = fun(x_new)
+            n_eval += 1
+            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
+                accepted = True
                 break
-            s = x_new - x
-            yv = g_new - g
-            sy = float(s @ yv)
-            if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(yv)):
-                if fresh:
-                    h = (sy / float(yv @ yv)) * np.eye(x.size)
-                    fresh = False
-                hy = h @ yv
-                h = (h + ((sy + float(yv @ hy)) / sy ** 2) * np.outer(s, s)
-                     - (np.outer(hy, s) + np.outer(s, hy)) / sy)
-            x, f, g = x_new, f_new, g_new
-            if accept is not None and accept(x, f):
-                break
-        self.h = h
-        return x, f, g, bool(np.max(np.abs(g)) <= gtol)
+            step *= 0.5
+        if not accepted:
+            break
+        s = x_new - x
+        yv = g_new - g
+        sy = float(s @ yv)
+        if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(yv)):
+            if fresh:
+                h = (sy / float(yv @ yv)) * np.eye(x.size)
+                fresh = False
+            hy = h @ yv
+            h = (h + ((sy + float(yv @ hy)) / sy ** 2) * np.outer(s, s)
+                 - (np.outer(hy, s) + np.outer(s, hy)) / sy)
+        x, f, g = x_new, f_new, g_new
+        if accept is not None and accept(x, f):
+            break
+    return x, f, g
 
 
-def _m_step_theta_full(packed: PackedData, gamma: np.ndarray, params: ModelParams,
-                       gtol: float = _INNER_GTOL, max_inner: int = 400,
-                       optimizer: _InnerOptimizer | None = None):
-    """One M-step: returns the new parameters and the hazard jumps profiled there."""
-    layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
-    ctx = _MStepContext(packed, gamma, layout)
-    opt = optimizer if optimizer is not None else _InnerOptimizer(layout.n_free)
-    y0 = layout.pack_opt(params)
-    f0, g0 = ctx.neg_q_grad(y0)
-    if not np.isfinite(f0):
-        raise MStepError("objective is not finite at the entry point", params)
-    y, f, _, reached = opt.minimize(ctx.neg_q_grad, y0, gtol=gtol, max_iter=max_inner)
-    if not reached:
-        # fall back to scipy's line-search quasi-Newton before giving up; imported
-        # here because scipy.optimize adds about 50 MB and 0.4 s to the package
-        # import, and this branch rarely runs
-        from scipy.optimize import minimize
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = minimize(ctx.neg_q_grad, y, jac=True, method="L-BFGS-B",
-                           options={"maxiter": max_inner, "maxfun": 4 * max_inner,
-                                    "ftol": 1e-15, "gtol": gtol})
-        if np.isfinite(res.fun) and res.fun <= f:
-            y, f = res.x, float(res.fun)
-            opt.reset()
-    if f > f0:
-        y, f = y0, f0
-        opt.reset()
-        if np.max(np.abs(g0)) > 1e-4:
-            raise MStepError("inner optimizer made no progress from a non-stationary point",
-                             layout.unpack_opt(y0, params.pi))
-    if not np.array_equal(ctx.last_y, y):
-        ctx.neg_q_grad(y)   # the fallback or the reversion left the last evaluated point
-    return layout.unpack_opt(y, params.pi), ctx.last_jumps
-
-
-def m_step_theta(data, posterior, params: ModelParams, config: EMConfig | None = None) -> ModelParams:
+def m_step_theta(data, posterior, params: ModelParams) -> ModelParams:
     """Maximize the profiled expected complete-data objective over (theta, alpha, delta).
 
     Responsibilities are held fixed; the baseline hazard is re-profiled at
-    every trial point.  The returned point never has a lower objective than
-    the entry point.  Mixture weights are untouched.
+    every trial point.  The line search accepts only points that raise the
+    objective, so the returned point never has a lower one than the entry
+    point.  Mixture weights are untouched.  Raises :class:`MStepError` when
+    the objective is not finite at the entry point.
     """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
-    return _m_step_theta_full(packed, _gamma_of(posterior), params)[0]
+    layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
+    ctx = _MStepContext(packed, _gamma_of(posterior), layout)
+    y, f, _ = _bfgs(ctx.neg_q_grad, layout.pack_opt(params), _INNER_GTOL, _M_STEP_MAX_ITER)
+    if not np.isfinite(f):
+        raise MStepError("objective is not finite at the entry point", params)
+    return layout.unpack_opt(y, params.pi)
 
 
 def relabel_ascending(params: ModelParams, hazard: HazardSteps | None = None,
@@ -447,14 +403,13 @@ def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig):
     Returns the last accepted point with its fixed-point responsibilities.
     """
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
-    gamma = np.tile(params.pi, (packed.n, 1))
-    jumps = RiskSetTables(packed, gamma, params.theta, params.survival).jumps
-    try:
-        ll, gamma = _e_step(packed, params, jumps)
+    try:   # the opening E-step is one fixed-point step from the prior weights
+        first = _inference._solve_fixed_point(packed, params, None, _inference._FIXED_POINT_TOL, 1)
     except DegenerateSubjectError:
-        return {"params": params, "gamma": gamma, "trace": [-np.inf],
+        return {"params": params, "gamma": np.tile(params.pi, (packed.n, 1)), "trace": [-np.inf],
                 "converged": False, "n_iter": 0, "status": "non-finite start"}
-    result = {"params": params, "gamma": gamma, "trace": [ll], "converged": False,
+    gamma = first.gamma
+    result = {"params": params, "gamma": gamma, "trace": [first.loglik], "converged": False,
               "n_iter": 0, "status": "non-finite profile likelihood at start"}
     start = params
     if config.max_iter > 1:
@@ -464,8 +419,8 @@ def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig):
             result["status"] = "component collapse"
             return result
         try:
-            start, _ = _m_step_theta_full(packed, gamma, ModelParams(
-                params.theta, params.ordinal, params.survival, pi), max_inner=50)
+            start = m_step_theta(packed, gamma, ModelParams(
+                params.theta, params.ordinal, params.survival, pi))
         except MStepError:
             result["status"] = "m-step failure"
             return result
@@ -494,9 +449,7 @@ def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig):
     log_pi = np.log(start.pi)
     z0 = np.concatenate([layout.pack_opt(start), log_pi[1:] - log_pi[0]])
     budget = config.max_iter - result["n_iter"]
-    _InnerOptimizer(z0.size).minimize(objective, z0, gtol=0.0, max_iter=budget,
-                                      max_eval=budget, accept=accept,
-                                      h0=objective.inverse_opg)
+    _bfgs(objective, z0, 0.0, budget, max_eval=budget, accept=accept, h0=objective.inverse_opg)
     result["n_iter"] += objective.n_eval
     if previous is not None and result["status"] not in ("converged", "component collapse"):
         result["status"] = "max_iter" if objective.n_eval >= budget else "line search failure"

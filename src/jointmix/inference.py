@@ -225,7 +225,7 @@ def _mean_score_at(packed: PackedData, params: ModelParams,
     if not solve.converged:
         warnings.warn("responsibility fixed point did not converge", RuntimeWarning, stacklevel=3)
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
-    _, grad, _ = _CollapsedQ(packed, solve.gamma, layout).value_and_grad(
+    _, grad = _CollapsedQ(packed, solve.gamma, layout).value_and_grad(
         params.theta, params.ordinal.a, params.ordinal.b, params.ordinal.phi, params.survival)
     return grad / packed.n, solve.gamma
 

@@ -84,10 +84,9 @@ class _CollapsedQ:
 
     def value_and_grad(self, theta: np.ndarray, a: np.ndarray, b: np.ndarray, phi: np.ndarray,
                        delta: SurvivalParams):
-        """``(q, grad, jumps)`` at natural coordinates with the constrained entries included.
+        """``(q, grad)`` at natural coordinates with the constrained entries included.
 
-        ``grad`` is over the free coordinates in the ``ParamLayout.pack``
-        order; ``jumps`` are the hazard jumps profiled at this point.
+        ``grad`` is over the free coordinates in the ``ParamLayout.pack`` order.
         """
         lay = self.layout
         L = lay.L
@@ -102,9 +101,9 @@ class _CollapsedQ:
         grad[lay.sl_phi] = (xs[:, :, None] * resid).sum(axis=(0, 1))[1:L - 1]
         grad[lay.sl_theta] = resid_phi.sum(axis=1)[1:]
 
-        q_surv, g_surv, jumps = _survival.profiled_loglik(self.packed, self.gamma, theta, delta)
+        q_surv, g_surv = _survival.profiled_loglik(self.packed, self.gamma, theta, delta)
         q += q_surv
         grad[lay.sl_theta] += g_surv[:lay.R - 1]
         grad[lay.idx_d0] = g_surv[lay.R - 1]
         grad[lay.idx_d1] = g_surv[lay.R]
-        return q, grad, jumps
+        return q, grad

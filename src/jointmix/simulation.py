@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import ResponseSet, SubjectRecord, SurvivalRecord, _readonly
-from .em import EMConfig, em_fit
+from .em import _NUMERIC_ERRORS, EMConfig, em_fit
 from .ordinal import category_probs
 from .params import ModelParams, ParamLayout
 from .survival import linear_predictors
@@ -262,7 +262,7 @@ def _run_replication(design: SimDesign, rep: int, config: EMConfig):
     try:
         fit = em_fit(records, design.params.n_groups, cfg,
                      n_levels=design.params.n_levels, n_items=design.params.n_items)
-    except Exception as err:  # individual fit failures are recorded, not fatal
+    except _NUMERIC_ERRORS as err:  # a numeric fit failure is recorded, not fatal
         return {"rep": rep, "ok": False, "error": f"{type(err).__name__}: {err}"}
     layout = ParamLayout(design.params.n_groups, design.params.n_levels, design.params.n_items)
     return {"rep": rep, "ok": bool(fit.converged), "estimates": layout.pack(fit.params),
@@ -276,8 +276,9 @@ def mc_normality(design: SimDesign, replications: int, fit_config: EMConfig | No
     Each replication simulates a dataset, fits it, and records the canonical
     (theta-ascending) estimates with their model-based standard errors.
     Coverage counts |estimate - truth| <= 1.96 SE per free parameter over
-    converged replications.  Failures are recorded, not fatal; the report is
-    flagged when they exceed 10%.  Deterministic for fixed
+    converged replications.  Numeric fit failures (``em._NUMERIC_ERRORS``) are
+    recorded, not fatal, and any other exception propagates; the report is
+    flagged when failures exceed 10%.  Deterministic for fixed
     (design, seed, replications).
     """
     if replications < 0:

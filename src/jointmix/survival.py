@@ -290,11 +290,11 @@ def profiled_loglik(packed: PackedData, gamma: np.ndarray, theta: np.ndarray,
                     delta: SurvivalParams):
     """Summed profiled survival objective with its gradient over [theta free, d0, d1].
 
-    Returns ``(value, grad, jumps)``: value is sum_ir gamma_ir log P(T_i, d_i | r) at
-    the hazard profiled from ``gamma``, whose jumps on the packed distinct-time
-    grid are ``jumps``.  At the profiling maximizer the partial derivatives
-    through the hazard jumps cancel in the dataset sum, so only the direct
-    terms sum_ir gamma_ir v_r (d_i - exp(lp_ir) Lambda(T_i)) remain.
+    Returns ``(value, grad)``: value is sum_ir gamma_ir log P(T_i, d_i | r) at
+    the hazard profiled from ``gamma``.  At the profiling maximizer the
+    partial derivatives through the hazard jumps cancel in the dataset sum,
+    so only the direct terms sum_ir gamma_ir v_r (d_i - exp(lp_ir) Lambda(T_i))
+    remain.
     """
     lp = linear_predictors(theta, delta, packed.covariates)
     w = gamma * np.exp(lp)
@@ -311,7 +311,7 @@ def profiled_loglik(packed: PackedData, gamma: np.ndarray, theta: np.ndarray,
     value = float(packed.event_counts[ev] @ np.log(jumps[ev]) + (d @ (gamma * lp)).sum()
                   - w_cum.sum())
     grad = np.concatenate([delta.delta0 * core[1:], [theta @ core, core_x.sum()]])
-    return value, grad, jumps
+    return value, grad
 
 
 def _group_sums(packed: PackedData, gamma: np.ndarray, tables: RiskSetTables):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,13 @@ def make_subject(time, event, covariate, cells=(), subject_id=None):
 
 def survival_only(times, events, covariates):
     return [make_subject(t, d, x) for t, d, x in zip(times, events, covariates)]
+
+
+def rescaled(records, time_scale=1.0, shift=0.0):
+    """The records with every time multiplied by ``time_scale`` and ``shift`` added to X."""
+    return [replace(r, survival=SurvivalRecord(time_scale * r.survival.time, r.survival.event,
+                                               r.survival.covariate + shift))
+            for r in records]
 
 
 def random_params(rng, n_groups, n_levels, n_items, spread=0.6):

@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 import jointmix.inference
-from jointmix import (EMConfig, HazardSteps, ModelParams, OrdinalParams, ParamLayout,
+from jointmix import (EMConfig, HazardSteps, ModelParams, MStepError, OrdinalParams, ParamLayout,
                       Posterior, SurvivalParams, e_step, em_fit, fixed_point_posterior,
                       m_step_pi, m_step_theta, observed_loglik, ordinal_loglik, profile_hazard,
                       relabel_ascending, survival_loglik)
 from jointmix.data import PackedData
-from jointmix.survival import RiskSetTables
-from jointmix.em import (_InnerOptimizer, _m_step_theta_full, _MStepContext, _ProfileObjective,
-                         draw_initial_params)
+from jointmix.em import _bfgs, _MStepContext, _ProfileObjective, draw_initial_params
 from jointmix.simulation import (ConstantBaseline, NoCensoring, SimDesign, UniformCensoring,
                                  _replication_seed, default_design, generate_dataset)
 
-from conftest import make_subject, random_dataset, random_gamma, random_params
+from conftest import make_subject, random_dataset, random_gamma, random_params, rescaled
 
 
 def two_group_params(theta2=1.0, pi=(0.5, 0.5), delta=(0.4, -0.3)):
@@ -159,17 +157,16 @@ class TestMStepTheta:
             exit_val = ctx.neg_q_grad(layout.pack_opt(fitted))[0]
             assert exit_val <= entry + 1e-12
 
-    @pytest.mark.parametrize("max_inner", [1, 400])
-    def test_returned_jumps_are_profiled_at_the_exit_point(self, max_inner):
-        # max_inner=1 leaves BFGS short of gtol, so the L-BFGS-B fallback picks the exit
-        rng = np.random.default_rng(8)
-        for trial in range(5):
-            params = random_params(rng, 2, 3, 2)
-            packed = PackedData.coerce(small_dataset(rng, 15, two_group_params()), 3, 2)
-            gamma = random_gamma(rng, 15, 2)
-            fitted, jumps = _m_step_theta_full(packed, gamma, params, max_inner=max_inner)
-            tables = RiskSetTables(packed, gamma, fitted.theta, fitted.survival)
-            np.testing.assert_allclose(jumps, tables.jumps, rtol=1e-12, atol=0)
+    def test_non_finite_entry_raises_with_the_entry_point(self):
+        rng = np.random.default_rng(9)
+        params = two_group_params()
+        records = small_dataset(rng, 20, params)
+        gamma = random_gamma(rng, 20, 2)
+        gamma[3, 1] = np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(MStepError, match="not finite at the entry point") as err:
+                m_step_theta(records, gamma, params)
+        assert err.value.best_params is params
 
     def test_pi_untouched(self):
         rng = np.random.default_rng(7)
@@ -311,6 +308,24 @@ class TestEmFit:
         np.testing.assert_allclose(np.concatenate([layout.pack(permuted.params), permuted.params.pi]),
                                    np.concatenate([layout.pack(fit.params), fit.params.pi]),
                                    rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("time_scale, shift", [(3.7, 0.0), (1.0, 1.3)])
+    def test_time_scale_and_covariate_shift_leave_the_fit_unchanged(self, converged_fit,
+                                                                     time_scale, shift):
+        # the Breslow jumps sit at the ordered times and absorb exp(shift * delta1)
+        _, records, fit = converged_fit
+        moved = em_fit(rescaled(records, time_scale, shift), 2,
+                       EMConfig(n_restarts=2, max_iter=4000, seed=5))
+        assert moved.converged
+        assert moved.loglik == pytest.approx(fit.loglik, rel=1e-10)
+        layout = ParamLayout(2, 3, 2)
+        np.testing.assert_allclose(np.concatenate([layout.pack(moved.params), moved.params.pi]),
+                                   np.concatenate([layout.pack(fit.params), fit.params.pi]),
+                                   rtol=0, atol=1e-6)
+        np.testing.assert_allclose(moved.hazard.times, time_scale * fit.hazard.times, rtol=1e-15)
+        np.testing.assert_allclose(moved.hazard.jumps,
+                                   fit.hazard.jumps * np.exp(-shift * fit.params.survival.delta1),
+                                   rtol=1e-5, atol=0)
 
     def test_boundary_optimum_is_reached_and_not_certified(self):
         # replication 6 of default_design(n=500): the MLE has phi[2] = 1 with its free
@@ -496,12 +511,11 @@ class TestInnerOptimizer:
         def fun(x):
             return 0.5 * x @ a @ x - b @ x, a @ x - b
 
-        x, _, _, reached = _InnerOptimizer(3).minimize(fun, np.zeros(3), gtol=1e-12,
-                                                       max_eval=2, h0=lambda: np.linalg.inv(a))
-        assert reached
+        x, _, g = _bfgs(fun, np.zeros(3), 1e-12, 50, max_eval=2, h0=lambda: np.linalg.inv(a))
+        assert np.max(np.abs(g)) <= 1e-12
         np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-12)
-        _, _, _, reached = _InnerOptimizer(3).minimize(fun, np.zeros(3), gtol=1e-12, max_eval=2)
-        assert not reached
+        _, _, g = _bfgs(fun, np.zeros(3), 1e-12, 50, max_eval=2)
+        assert np.max(np.abs(g)) > 1e-12
 
     def test_singular_opg_falls_back_to_the_identity(self):
         # at R = 1 the delta0 score is identically zero, so S'S / n is singular

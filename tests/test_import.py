@@ -7,8 +7,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_import_loads_no_scipy():
-    # scipy.optimize at module top adds about 0.4 s and 50 MB to every import;
-    # the L-BFGS-B fallback imports it only when it runs
+    # numpy is the package's only runtime dependency; scipy is a test extra
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import jointmix; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True,
@@ -37,3 +36,13 @@ def test_em_is_imported_by_neither_inference_nor_likelihood():
         found = {m for m in imported_modules(package / name)
                  if m == "jointmix.em" or m.startswith("jointmix.em.")}
         assert not found, f"{name} imports {sorted(found)}"
+
+
+def test_no_module_imports_scipy():
+    # a scipy import inside a function would pass test_import_loads_no_scipy
+    modules = sorted((SRC / "jointmix").glob("*.py"))
+    assert modules
+    assert "scipy.special" in imported_modules(Path(__file__).parent / "test_likelihood.py")
+    for path in modules:
+        found = {m for m in imported_modules(path) if m == "scipy" or m.startswith("scipy.")}
+        assert not found, f"{path.name} imports {sorted(found)}"

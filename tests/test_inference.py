@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointmix import (ConstantBaseline, EMConfig, HazardSteps, InfoMatrix, ModelParams,
                       OrdinalParams, ParamLayout, SingularInformationError, StepDirection,
@@ -16,7 +18,7 @@ from jointmix.inference import pseudo_standard_errors, true_posterior
 from jointmix.simulation import NoCensoring, SimDesign, UniformCensoring
 from jointmix.survival import RiskSetTables
 
-from conftest import make_subject, random_gamma, random_params, random_dataset
+from conftest import make_subject, random_gamma, random_params, random_dataset, rescaled
 
 
 def dataset_and_gamma(seed, n=30, n_groups=2, n_levels=3, n_items=2):
@@ -409,6 +411,27 @@ class TestFixedPoint:
         finally:
             tracemalloc.stop()
         assert retained <= allowance
+
+    @given(seed=st.integers(0, 2 ** 16), time_scale=st.floats(0.01, 100.0),
+           shift=st.floats(-3.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore:realized censoring fraction:RuntimeWarning")
+    def test_time_scale_and_covariate_shift(self, seed, time_scale, shift):
+        # only the order of the times enters, and exp(shift * delta1) factors out
+        # of every exp(lp) into the jumps
+        params, records, _ = dataset_and_gamma(seed, n=40)
+        packed = PackedData.coerce(records, 3, 2)
+        moved = PackedData.coerce(rescaled(records, time_scale, shift), 3, 2)
+        gamma, tables = fixed_point_posterior(packed, params)
+        gamma_c, tables_c = fixed_point_posterior(moved, params)
+        np.testing.assert_allclose(gamma_c, gamma, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(tables_c.times, time_scale * tables.times, rtol=1e-15)
+        np.testing.assert_allclose(tables_c.jumps,
+                                   tables.jumps * np.exp(-shift * params.survival.delta1),
+                                   rtol=1e-10, atol=0)
+        score = mean_profile_score(packed, params)
+        np.testing.assert_allclose(mean_profile_score(moved, params), score,
+                                   rtol=0, atol=1e-10 * max(1.0, np.max(np.abs(score))))
 
     def test_true_posterior_rows_simplex(self):
         design = default_design(n=50, seed=82)

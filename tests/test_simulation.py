@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import jointmix.simulation
 from jointmix import (ConstantBaseline, EMConfig, ModelParams, NoCensoring, OrdinalParams,
                       PiecewiseConstantBaseline, SimDesign, SurvivalParams, TwoPointCovariate,
                       UniformCensoring, default_design, generate_dataset, mc_normality)
@@ -153,6 +154,23 @@ class TestMcNormality:
         report = mc_normality(design, 3, config)
         assert report.n_failures + int(report.rep_converged.sum()) == 3
         assert report.failure_flag == (report.n_failures > 0.3)
+
+    def test_numeric_failures_are_recorded_and_others_propagate(self, monkeypatch):
+        design = default_design(n=40, seed=15)
+
+        def fail_with(error):
+            def em_fit(*args, **kwargs):
+                raise error
+            return em_fit
+
+        monkeypatch.setattr(jointmix.simulation, "em_fit",
+                            fail_with(FloatingPointError("weights overflowed")))
+        report = mc_normality(design, 2, threads=1)
+        assert report.n_failures == 2 and not report.rep_converged.any()
+        assert np.isnan(report.estimates).all()
+        monkeypatch.setattr(jointmix.simulation, "em_fit", fail_with(TypeError("a bug")))
+        with pytest.raises(TypeError, match="a bug"):
+            mc_normality(design, 2, threads=1)
 
     def test_truth_must_be_canonical(self):
         base = default_design(n=40, seed=14)
