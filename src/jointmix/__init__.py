@@ -10,23 +10,20 @@ empirical efficient information.
 
 from .data import DataError, PackedData, ResponseSet, SubjectRecord, SurvivalRecord
 from .em import (DegenerateSubjectError, EMConfig, FitResult, MStepError, Posterior,
-                 e_step, em_fit, m_step_pi, m_step_theta, observed_loglik,
-                 relabel_ascending)
+                 e_step, em_fit, m_step_theta, relabel_ascending)
 from .inference import (ContractionCheck, DirectionStat, IdentityCheck, InfoMatrix,
                         SingularInformationError, StepDirection, contraction_check,
                         default_directions, efficient_score_equivalence,
                         fixed_point_posterior, info_identity_check, information_matrix,
-                        mean_profile_score, orthogonality_check, profile_score_obs,
-                        score_matrix, standard_errors)
-from .ordinal import OrdinalParams, category_probs, ordinal_loglik, ordinal_score
+                        mean_profile_score, orthogonality_check, score_matrix,
+                        standard_errors)
+from .ordinal import OrdinalParams, category_probs
 from .params import ModelParams, ParamLayout
 from .simulation import (ConstantBaseline, ExponentialCensoring, MCReport, NoCensoring,
                          PiecewiseConstantBaseline, SimDesign, TwoPointCovariate,
                          UniformCensoring, default_design, generate_dataset, mc_normality)
 from .survival import (EmptyRiskSetError, HazardSteps, InvalidHazardError, RiskSetTables,
-                       SurvivalParams, cum_hazard, efficient_score_survival,
-                       profile_hazard, risk_aggregates, risk_set_tables,
-                       survival_loglik, survival_profile_score)
+                       SurvivalParams)
 
 __version__ = "0.1.0"
 

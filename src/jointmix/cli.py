@@ -327,10 +327,10 @@ def _cmd_mc(args) -> int:
     write_json(out_dir / "mc_report.json", report.to_dict())
     with open(out_dir / "replications.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["replication", "converged"] + list(report.param_names)
+        writer.writerow(["replication", "converged", "error"] + list(report.param_names)
                         + [f"se_{n}" for n in report.param_names])
         for rep in range(report.n_replications):
-            writer.writerow([rep, int(report.rep_converged[rep])]
+            writer.writerow([rep, int(report.rep_converged[rep]), report.rep_errors[rep]]
                             + [repr(float(v)) for v in report.estimates[rep]]
                             + [repr(float(v)) for v in report.std_errors[rep]])
     if report.failure_flag:

@@ -32,11 +32,11 @@ so the line search backs off.
 The accepted iterates raise pl strictly, so the recorded log-likelihood trace
 is nondecreasing.
 
-The EM building blocks (:func:`e_step`, :func:`m_step_pi`,
-:func:`m_step_theta`, :func:`observed_loglik`) stay public.  The likelihood
-core and the collapsed M-step objective live in :mod:`likelihood`, the
-risk-set sums, Breslow jumps, survival log-likelihood and its profiled
-gradient in :mod:`data` and :mod:`survival`.
+The EM building blocks :func:`e_step` and :func:`m_step_theta` stay
+public.  The likelihood core and the collapsed M-step objective live in
+:mod:`likelihood`, the risk-set sums, Breslow jumps, survival
+log-likelihood and its profiled gradient in :mod:`data` and
+:mod:`survival`.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ import numpy as np
 from . import inference as _inference
 from . import survival as _survival
 from .data import PackedData
-from .likelihood import (DegenerateSubjectError, _CollapsedQ, _gamma_of, _loglik_and_posterior,
-                         _loglik_components, _posterior_matrix)
+from .likelihood import DegenerateSubjectError, _CollapsedQ, _gamma_of, _posterior_matrix
 from .ordinal import OrdinalParams
 from .params import ModelParams, ParamLayout, _phi_chain, phi_from_u
 from .survival import HazardSteps, RiskSetTables, SurvivalParams
@@ -164,21 +163,6 @@ def e_step(data, params: ModelParams, hazard) -> Posterior:
     return Posterior(_posterior_matrix(packed, params, hazard))
 
 
-def m_step_pi(posterior) -> np.ndarray:
-    """Mixture-weight update: column means of the responsibilities."""
-    gamma = _gamma_of(posterior)
-    return gamma.mean(axis=0)
-
-
-def observed_loglik(data, params: ModelParams, hazard) -> float:
-    """Observed-data mixture log-likelihood at a given baseline hazard."""
-    packed = PackedData.coerce(data, params.n_levels, params.n_items)
-    try:
-        return _loglik_and_posterior(packed, _loglik_components(packed, params, hazard))[0]
-    except DegenerateSubjectError as err:
-        raise FloatingPointError("observed log-likelihood is not finite") from err
-
-
 # ------------------------------------------------------------ M-step and BFGS
 
 class _MStepContext:
@@ -275,11 +259,15 @@ def m_step_theta(data, posterior, params: ModelParams) -> ModelParams:
     every trial point.  The line search accepts only points that raise the
     objective, so the returned point never has a lower one than the entry
     point.  Mixture weights are untouched.  Raises :class:`MStepError` when
-    the objective is not finite at the entry point.
+    the objective is not finite at the entry point, non-finite
+    responsibilities included, before any evaluation in that case.
     """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
-    ctx = _MStepContext(packed, _gamma_of(posterior), layout)
+    gamma = _gamma_of(posterior)
+    if not np.all(np.isfinite(gamma)):
+        raise MStepError("objective is not finite at the entry point", params)
+    ctx = _MStepContext(packed, gamma, layout)
     y, f, _ = _bfgs(ctx.neg_q_grad, layout.pack_opt(params), _INNER_GTOL, _M_STEP_MAX_ITER)
     if not np.isfinite(f):
         raise MStepError("objective is not finite at the entry point", params)

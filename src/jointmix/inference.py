@@ -12,7 +12,7 @@ import numpy as np
 
 from . import ordinal as _ordinal
 from . import survival as _survival
-from .data import PackedData, SubjectRecord
+from .data import PackedData
 from .likelihood import _CollapsedQ, _gamma_of, _loglik_and_posterior, _posterior_matrix
 from .params import ModelParams, ParamLayout
 from .survival import HazardSteps, RiskSetTables
@@ -76,28 +76,6 @@ def score_matrix(data, params: ModelParams, posterior, tables: RiskSetTables | N
         tables = RiskSetTables(packed, gamma, params.theta, params.survival)
     surv = _survival.profile_scores(packed, gamma, tables)
     return _assemble_scores(packed, params, gamma, surv)
-
-
-def profile_score_obs(subject: SubjectRecord, params: ModelParams, posterior_row: np.ndarray,
-                      tables: RiskSetTables) -> np.ndarray:
-    """Profile score of a single subject: ordinal and survival blocks stacked."""
-    layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
-    gamma_row = np.asarray(posterior_row, dtype=float)
-    out = np.zeros(layout.n_free)
-    n_ab = (layout.L - 1) + (layout.J - 1)
-    for r in range(layout.R):
-        s = _ordinal.ordinal_score(subject.responses, float(params.theta[r]), params.ordinal)
-        out[layout.sl_a] += gamma_row[r] * s[:layout.L - 1]
-        out[layout.sl_b] += gamma_row[r] * s[layout.L - 1:n_ab]
-        out[layout.sl_phi] += gamma_row[r] * s[n_ab:n_ab + layout.L - 2]
-        if r >= 1:
-            out[layout.sl_theta][r - 1] = gamma_row[r] * s[-1]
-    surv = _survival.survival_profile_score(subject.survival, gamma_row, tables,
-                                            params.theta, params.survival)
-    out[layout.sl_theta] += surv[:layout.R - 1]
-    out[layout.idx_d0] += surv[layout.R - 1]
-    out[layout.idx_d1] += surv[layout.R]
-    return out
 
 
 def information_matrix(data, params: ModelParams, posterior,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, PackedData, ResponseSet, _readonly
+from .data import DataError, PackedData, _readonly
 
 
 @dataclass(frozen=True)
@@ -68,38 +68,6 @@ def category_probs(item: int, group_effect: float, params: OrdinalParams) -> np.
     eta = eta - eta.max()
     p = np.exp(eta)
     return p / p.sum()
-
-
-def ordinal_loglik(responses: ResponseSet, group_effect: float, params: OrdinalParams) -> float:
-    """Log-likelihood of one subject's responses for a single group effect.
-
-    Missing cells are simply absent from ``responses`` and contribute
-    nothing; an empty response set gives 0.
-    """
-    if responses.n_cells == 0:
-        return 0.0
-    counts = responses.counts(params.n_items, params.n_levels)
-    eta, logz = _linear_predictor(params.a, params.phi, params.b, np.asarray([group_effect]))
-    return float(np.sum(counts * eta[0]) - counts.sum(axis=1) @ logz[0])
-
-
-def ordinal_score(responses: ResponseSet, group_effect: float, params: OrdinalParams) -> np.ndarray:
-    """Gradient of :func:`ordinal_loglik` over the free coordinates.
-
-    Layout: ``[a[2..L], b[2..J], phi[2..L-1], group_effect]`` (constrained
-    coordinates are excluded).
-    """
-    L, J = params.n_levels, params.n_items
-    counts = responses.counts(J, L)
-    eta, logz = _linear_predictor(params.a, params.phi, params.b, np.asarray([group_effect]))
-    probs = np.exp(eta[0] - logz[0][:, None])
-    resid = counts - counts.sum(axis=1, keepdims=True) * probs
-    x = params.b + group_effect
-    d_a = resid.sum(axis=0)[1:]
-    d_b = (resid @ params.phi)[1:]
-    d_phi = (x[:, None] * resid).sum(axis=0)[1:L - 1]
-    d_theta = params.phi @ resid.sum(axis=0)
-    return np.concatenate([d_a, d_b, d_phi, [d_theta]])
 
 
 def _linear_predictor(a: np.ndarray, phi: np.ndarray, b: np.ndarray, theta: np.ndarray):

@@ -215,7 +215,12 @@ def generate_dataset(design: SimDesign, rng: np.random.Generator | None = None):
 
 @dataclass(frozen=True)
 class MCReport:
-    """Per-parameter Monte Carlo summary of repeated simulate-and-fit runs."""
+    """Per-parameter Monte Carlo summary of repeated simulate-and-fit runs.
+
+    ``rep_errors`` holds one string per replication: why it failed ("not
+    converged", or the numeric error as "TypeName: message"), or "" when it
+    converged.
+    """
 
     param_names: tuple[str, ...]
     truth: np.ndarray
@@ -231,6 +236,7 @@ class MCReport:
     estimates: np.ndarray
     std_errors: np.ndarray
     rep_converged: np.ndarray
+    rep_errors: tuple[str, ...]
 
     def to_dict(self) -> dict:
         def clean(vec):
@@ -248,6 +254,7 @@ class MCReport:
             "n_failures": self.n_failures,
             "failure_flag": self.failure_flag,
             "seed": self.seed,
+            "rep_errors": list(self.rep_errors),
         }
 
 
@@ -277,9 +284,9 @@ def mc_normality(design: SimDesign, replications: int, fit_config: EMConfig | No
     (theta-ascending) estimates with their model-based standard errors.
     Coverage counts |estimate - truth| <= 1.96 SE per free parameter over
     converged replications.  Numeric fit failures (``em._NUMERIC_ERRORS``) are
-    recorded, not fatal, and any other exception propagates; the report is
-    flagged when failures exceed 10%.  Deterministic for fixed
-    (design, seed, replications).
+    recorded with their reason in ``rep_errors``, not fatal, and any other
+    exception propagates; the report is flagged when failures exceed 10%.
+    Deterministic for fixed (design, seed, replications).
     """
     if replications < 0:
         raise ValueError("replications must be >= 0")
@@ -296,7 +303,7 @@ def mc_normality(design: SimDesign, replications: int, fit_config: EMConfig | No
         empty = np.empty((0, p))
         nan = np.full(p, np.nan)
         return MCReport(names, truth, nan, nan, nan, nan, nan, 0, 0, False,
-                        design.seed, empty, empty, np.empty(0, dtype=bool))
+                        design.seed, empty, empty, np.empty(0, dtype=bool), ())
 
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -328,4 +335,4 @@ def mc_normality(design: SimDesign, replications: int, fit_config: EMConfig | No
     n_failures = replications - n_good
     return MCReport(names, truth, mean_est, emp_sd, mean_se, ratio, coverage,
                     replications, n_failures, n_failures > 0.1 * replications,
-                    design.seed, estimates, ses, ok)
+                    design.seed, estimates, ses, ok, tuple(rec["error"] for rec in results))

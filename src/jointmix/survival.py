@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, PackedData, SurvivalRecord, _readonly
+from .data import PackedData, _readonly
 
 # exp() inputs are clipped here; |linear predictor| beyond this is far outside
 # any usable parameter region and would otherwise overflow risk-set sums
@@ -77,13 +77,6 @@ class HazardSteps:
     @property
     def total(self) -> float:
         return float(self._prefix[-1])
-
-
-def cum_hazard(hazard: HazardSteps, t) -> float:
-    """Evaluate the cumulative hazard step function at ``t``."""
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("t must be nonnegative")
-    return hazard.cum(t)
 
 
 def linear_predictors(theta: np.ndarray, delta: SurvivalParams, covariates: np.ndarray) -> np.ndarray:
@@ -176,74 +169,6 @@ class RiskSetTables:
 
     def hazard_steps(self) -> HazardSteps:
         return HazardSteps(self.times, self.jumps)
-
-    def time_slot(self, t: float) -> int:
-        """Index of an observed time in the tables; errors for foreign times."""
-        k = int(np.searchsorted(self.times, t))
-        if k >= self.times.size or self.times[k] != t:
-            raise ValueError(f"time {t!r} is not an observed time of the dataset behind these tables")
-        return k
-
-    def matches(self, theta: np.ndarray, delta: SurvivalParams) -> bool:
-        return (self.theta.size == np.asarray(theta).size
-                and np.array_equal(self.theta, theta)
-                and self.delta == delta)
-
-
-def risk_set_tables(data, gamma: np.ndarray, theta: np.ndarray, delta: SurvivalParams,
-                    n_levels: int | None = None, n_items: int | None = None) -> RiskSetTables:
-    """Build the per-parameter-point aggregate tables for a dataset."""
-    return RiskSetTables(PackedData.coerce(data, n_levels, n_items), gamma, np.asarray(theta, float), delta)
-
-
-def risk_aggregates(t: float, data, gamma: np.ndarray, theta: np.ndarray,
-                    delta: SurvivalParams):
-    """Empirical (M0, M1) at time ``t`` in the paper's condensed 3-vector form.
-
-    M0(t) = n^-1 sum_i 1{T_i >= t} sum_r gamma_ir exp(theta_r d0 + X_i d1),
-    and M1 weights the same sum by (delta0, theta_r, X_i).
-    """
-    packed = PackedData.coerce(data)
-    gamma = np.asarray(gamma, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    at_risk = packed.times >= t
-    if not np.any(at_risk):
-        raise EmptyRiskSetError(f"no subject at risk at t={t!r}")
-    lp = linear_predictors(theta, delta, packed.covariates)
-    w = gamma * np.exp(lp)
-    w[~at_risk] = 0.0
-    m0 = w.sum() / packed.n
-    m1 = np.array([
-        delta.delta0 * w.sum() / packed.n,
-        (w @ theta).sum() / packed.n,
-        (w.sum(axis=1) * packed.covariates).sum() / packed.n,
-    ])
-    return m0, m1
-
-
-def profile_hazard(data, gamma: np.ndarray, theta: np.ndarray, delta: SurvivalParams) -> HazardSteps:
-    """Profiled baseline hazard: event counts over weighted risk-set totals.
-
-    Ties share a single jump whose numerator is the number of events at that
-    time; censored-only times carry explicit zero jumps.
-    """
-    return risk_set_tables(data, gamma, theta, delta).hazard_steps()
-
-
-def survival_loglik(rec: SurvivalRecord, group_effect: float, hazard: HazardSteps,
-                    delta: SurvivalParams) -> float:
-    """Discrete-hazard survival log-likelihood of one subject in one group.
-
-    d (log lambda(T) + theta_r d0 + X d1) - Lambda(T) exp(theta_r d0 + X d1).
-    """
-    lp = group_effect * delta.delta0 + rec.covariate * delta.delta1
-    value = -hazard.cum(rec.time) * np.exp(lp)
-    if rec.event:
-        k = np.searchsorted(hazard.times, rec.time)
-        if k >= hazard.times.size or hazard.times[k] != rec.time or hazard.jumps[k] <= 0:
-            raise InvalidHazardError(f"event at t={rec.time!r} has no positive hazard jump")
-        value += np.log(hazard.jumps[k]) + lp
-    return float(value)
 
 
 def _grid_steps(packed: PackedData, hazard) -> tuple[np.ndarray, np.ndarray]:
@@ -344,29 +269,6 @@ def profile_scores(packed: PackedData, gamma: np.ndarray, tables: RiskSetTables)
             - gev * tables.cum_jumps[k][:, None] + total[:, None] * tables.int_ratio[k])
 
 
-def _record_sums(rec: SurvivalRecord, gamma_row: np.ndarray, theta: np.ndarray,
-                 delta: SurvivalParams):
-    """One subject's ``(gv, gev, total)``, as in :func:`_group_sums`."""
-    gamma_row = np.asarray(gamma_row, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    ge = gamma_row * np.exp(theta * delta.delta0 + rec.covariate * delta.delta1)
-    total = ge.sum()
-    gv = np.concatenate([delta.delta0 * gamma_row[1:], [gamma_row @ theta, rec.covariate]])
-    gev = np.concatenate([delta.delta0 * ge[1:], [ge @ theta, rec.covariate * total]])
-    return gv, gev, total
-
-
-def survival_profile_score(rec: SurvivalRecord, gamma_row: np.ndarray, tables: RiskSetTables,
-                           theta: np.ndarray, delta: SurvivalParams) -> np.ndarray:
-    """Profile score of one subject; see :func:`profile_scores` for the layout."""
-    if not tables.matches(theta, delta):
-        raise ValueError("aggregate tables were built at a different parameter point")
-    k = tables.time_slot(rec.time)
-    gv, gev, total = _record_sums(rec, gamma_row, theta, delta)
-    return (float(rec.event) * (gv - tables.ratio[k])
-            - gev * tables.cum_jumps[k] + total * tables.int_ratio[k])
-
-
 def _step_integrals(tables: RiskSetTables, baseline) -> tuple[np.ndarray, np.ndarray]:
     """Lambda mass of ``baseline`` on the intervals between observed times.
 
@@ -395,16 +297,3 @@ def efficient_scores(packed: PackedData, gamma: np.ndarray, baseline, tables: Ri
     integral = np.cumsum(mass[:, None] * tables.ratio, axis=0)[k]
     return (packed.events[:, None] * (gv - tables.ratio[k])
             - (gev * cum_at[k][:, None] - total[:, None] * integral))
-
-
-def efficient_score_survival(rec: SurvivalRecord, gamma_row: np.ndarray, baseline,
-                             theta: np.ndarray, delta: SurvivalParams,
-                             tables: RiskSetTables) -> np.ndarray:
-    """Efficient score of one subject; layout as in :func:`profile_scores`."""
-    if not tables.matches(theta, delta):
-        raise ValueError("aggregate tables were built at a different parameter point")
-    k = tables.time_slot(rec.time)
-    gv, gev, total = _record_sums(rec, gamma_row, theta, delta)
-    mass, cum_at = _step_integrals(tables, baseline)
-    integral = mass[:k + 1] @ tables.ratio[:k + 1]
-    return float(rec.event) * (gv - tables.ratio[k]) - (gev * cum_at[k] - total * integral)

@@ -1,7 +1,6 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from jointmix.cli import EXIT_INPUT, main
@@ -135,6 +134,8 @@ class TestMc:
         assert report["n_replications"] == 2
         reps = (tmp_path / "one" / "replications.csv").read_text().splitlines()
         assert len(reps) == 3
+        assert reps[0].split(",")[:3] == ["replication", "converged", "error"]
+        assert len(report["rep_errors"]) == 2
 
 
 class TestCheck:

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 import jointmix.inference
-from jointmix import (EMConfig, HazardSteps, ModelParams, MStepError, OrdinalParams, ParamLayout,
-                      Posterior, SurvivalParams, e_step, em_fit, fixed_point_posterior,
-                      m_step_pi, m_step_theta, observed_loglik, ordinal_loglik, profile_hazard,
-                      relabel_ascending, survival_loglik)
+from jointmix import (EMConfig, ModelParams, MStepError, OrdinalParams, ParamLayout, Posterior,
+                      SurvivalParams, e_step, em_fit, fixed_point_posterior, m_step_theta,
+                      relabel_ascending)
 from jointmix.data import PackedData
-from jointmix.em import _bfgs, _MStepContext, _ProfileObjective, draw_initial_params
-from jointmix.simulation import (ConstantBaseline, NoCensoring, SimDesign, UniformCensoring,
-                                 _replication_seed, default_design, generate_dataset)
+from jointmix.em import _bfgs, _MStepContext, _ProfileObjective
+from jointmix.simulation import (ConstantBaseline, SimDesign, UniformCensoring, _replication_seed,
+                                 default_design, generate_dataset)
 
 from conftest import make_subject, random_dataset, random_gamma, random_params, rescaled
+from oracles import m_step_pi, observed_loglik, ordinal_loglik, profile_hazard, survival_loglik
 
 
 def two_group_params(theta2=1.0, pi=(0.5, 0.5), delta=(0.4, -0.3)):
@@ -163,9 +163,8 @@ class TestMStepTheta:
         records = small_dataset(rng, 20, params)
         gamma = random_gamma(rng, 20, 2)
         gamma[3, 1] = np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(MStepError, match="not finite at the entry point") as err:
-                m_step_theta(records, gamma, params)
+        with pytest.raises(MStepError, match="not finite at the entry point") as err:
+            m_step_theta(records, gamma, params)
         assert err.value.best_params is params
 
     def test_pi_untouched(self):
@@ -308,6 +307,27 @@ class TestEmFit:
         np.testing.assert_allclose(np.concatenate([layout.pack(permuted.params), permuted.params.pi]),
                                    np.concatenate([layout.pack(fit.params), fit.params.pi]),
                                    rtol=0, atol=1e-6)
+
+    def test_group_labels_leave_the_fit_unchanged(self, converged_fit):
+        # the same start with its groups relabeled: theta re-normalized to theta[1] = 0,
+        # the intercepts absorbing phi * shift, the weights permuted
+        design, records, _ = converged_fit
+        start, order = design.params, np.array([1, 0])
+        shift = float(start.theta[order[0]])
+        relabeled = ModelParams(start.theta[order] - shift,
+                                OrdinalParams(start.ordinal.a + start.ordinal.phi * shift,
+                                              start.ordinal.phi, start.ordinal.b),
+                                start.survival, start.pi[order])
+        restored = relabel_ascending(relabeled)[0]
+        np.testing.assert_allclose(restored.theta, start.theta, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(restored.ordinal.a, start.ordinal.a, rtol=0, atol=1e-15)
+        config = EMConfig(n_restarts=1, max_iter=4000)
+        fits = [em_fit(records, 2, config, init=init) for init in (start, relabeled)]
+        assert all(fit.converged for fit in fits)
+        assert fits[1].loglik == pytest.approx(fits[0].loglik, rel=1e-10)
+        layout = ParamLayout(2, 3, 2)
+        one, two = (np.concatenate([layout.pack(fit.params), fit.params.pi]) for fit in fits)
+        np.testing.assert_allclose(two, one, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("time_scale, shift", [(3.7, 0.0), (1.0, 1.3)])
     def test_time_scale_and_covariate_shift_leave_the_fit_unchanged(self, converged_fit,

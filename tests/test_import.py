@@ -28,6 +28,51 @@ def imported_modules(path: Path) -> set[str]:
     return names
 
 
+def unused_imports(source: str) -> set[str]:
+    """Names a module's source imports but never reads; ``__future__`` imports are exempt."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py is exempt: its imports are the package's re-exports
+    modules = sorted(p for p in (SRC / "jointmix").glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert unused_imports("from __future__ import annotations\nimport os.path\n"
+                          "from .data import PackedData, SurvivalRecord\nPackedData\n"
+                          ) == {"os", "SurvivalRecord"}
+    for path in modules:
+        unused = unused_imports(path.read_text())
+        assert not unused, f"{path.name} never reads {sorted(unused)}"
+
+
+ORACLES = {"cum_hazard", "risk_set_tables", "risk_aggregates", "profile_hazard", "survival_loglik",
+           "survival_profile_score", "efficient_score_survival", "_record_sums", "time_slot",
+           "matches", "ordinal_loglik", "ordinal_score", "profile_score_obs", "m_step_pi",
+           "observed_loglik"}
+
+
+def test_per_record_oracles_live_only_in_the_tests():
+    import jointmix
+    import oracles
+
+    assert ORACLES <= set(vars(oracles))
+    assert not ORACLES & set(jointmix.__all__)
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("jointmix"):
+                found = ORACLES & {alias.name for alias in node.names}
+                assert not found, f"{path.name} imports {sorted(found)} from {node.module}"
+
+
 def test_em_is_imported_by_neither_inference_nor_likelihood():
     # em imports both; an import back would make a cycle
     package = SRC / "jointmix"

@@ -6,19 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointmix import (ConstantBaseline, EMConfig, HazardSteps, InfoMatrix, ModelParams,
-                      OrdinalParams, ParamLayout, SingularInformationError, StepDirection,
-                      SurvivalParams, contraction_check, default_design, default_directions,
-                      efficient_score_equivalence, em_fit, fixed_point_posterior,
-                      generate_dataset, info_identity_check, information_matrix,
-                      mean_profile_score, orthogonality_check, profile_score_obs,
-                      score_matrix, standard_errors)
+from jointmix import (ConstantBaseline, HazardSteps, InfoMatrix, ModelParams, OrdinalParams,
+                      ParamLayout, SingularInformationError, StepDirection, SurvivalParams,
+                      contraction_check, default_design, default_directions,
+                      efficient_score_equivalence, fixed_point_posterior, generate_dataset,
+                      info_identity_check, information_matrix, mean_profile_score,
+                      orthogonality_check, score_matrix, standard_errors)
 from jointmix.data import PackedData
 from jointmix.inference import pseudo_standard_errors, true_posterior
-from jointmix.simulation import NoCensoring, SimDesign, UniformCensoring
+from jointmix.simulation import SimDesign, UniformCensoring
 from jointmix.survival import RiskSetTables
 
 from conftest import make_subject, random_gamma, random_params, random_dataset, rescaled
+from oracles import profile_score_obs
 
 
 def dataset_and_gamma(seed, n=30, n_groups=2, n_levels=3, n_items=2):
@@ -290,7 +290,7 @@ class TestContraction:
 
     def test_direct_evaluation_oracle_and_violation(self):
         import math
-        from jointmix import ordinal_loglik, survival_loglik
+        from oracles import ordinal_loglik, survival_loglik
 
         params = ModelParams(
             np.array([0.0, 3.0]),

@@ -154,6 +154,7 @@ class TestMcNormality:
         report = mc_normality(design, 3, config)
         assert report.n_failures + int(report.rep_converged.sum()) == 3
         assert report.failure_flag == (report.n_failures > 0.3)
+        assert [e == "" for e in report.rep_errors] == report.rep_converged.tolist()
 
     def test_numeric_failures_are_recorded_and_others_propagate(self, monkeypatch):
         design = default_design(n=40, seed=15)
@@ -168,6 +169,8 @@ class TestMcNormality:
         report = mc_normality(design, 2, threads=1)
         assert report.n_failures == 2 and not report.rep_converged.any()
         assert np.isnan(report.estimates).all()
+        assert report.rep_errors == ("FloatingPointError: weights overflowed",) * 2
+        assert report.to_dict()["rep_errors"] == ["FloatingPointError: weights overflowed"] * 2
         monkeypatch.setattr(jointmix.simulation, "em_fit", fail_with(TypeError("a bug")))
         with pytest.raises(TypeError, match="a bug"):
             mc_normality(design, 2, threads=1)

@@ -6,15 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointmix import (EmptyRiskSetError, HazardSteps, InvalidHazardError, SurvivalParams,
-                      SurvivalRecord, cum_hazard, efficient_score_survival, profile_hazard,
-                      risk_aggregates, risk_set_tables, survival_loglik,
-                      survival_profile_score)
+                      SurvivalRecord)
 from jointmix.data import PackedData
 from jointmix.simulation import ConstantBaseline
 from jointmix.survival import (RiskSetTables, efficient_scores, loglik_matrix, profile_scores,
                                profiled_loglik)
 
-from conftest import make_subject, random_gamma, survival_only
+from conftest import random_gamma, survival_only
+from oracles import (cum_hazard, efficient_score_survival, profile_hazard, risk_aggregates,
+                     risk_set_tables, survival_loglik, survival_profile_score)
 
 
 def nelson_aalen_oracle(times, events):
