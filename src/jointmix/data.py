@@ -155,9 +155,13 @@ class PackedData:
 
     @classmethod
     def coerce(cls, data, n_levels: int | None = None, n_items: int | None = None) -> "PackedData":
-        if isinstance(data, cls):
-            return data
-        return cls(data, n_levels=n_levels, n_items=n_items)
+        """``data`` packed with the requested dimensions; packed data must already have them."""
+        if not isinstance(data, cls):
+            return cls(data, n_levels=n_levels, n_items=n_items)
+        for name, want in (("n_levels", n_levels), ("n_items", n_items)):
+            if want is not None and want != getattr(data, name):
+                raise DataError(f"packed data has {name}={getattr(data, name)}, not {want}")
+        return data
 
     def suffix_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum ``values`` over subjects at risk at each distinct time.

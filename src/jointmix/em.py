@@ -346,9 +346,7 @@ class _ProfileObjective:
                 with np.errstate(under="raise"):
                     pi = np.exp(logit - logit.max())
                 params = lay.unpack_opt(y, pi / pi.sum())
-                solve = _inference._solve_fixed_point(packed, params, self.gamma,
-                                                      _inference._FIXED_POINT_TOL,
-                                                      _inference._FIXED_POINT_MAX_ITER)
+                solve = _inference._solve_fixed_point(packed, params, self.gamma)
                 if not solve.converged:
                     return failed
                 f_q, g_q = _MStepContext(packed, solve.gamma, lay).neg_q_grad(y)
@@ -392,7 +390,7 @@ def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig):
     """
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
     try:   # the opening E-step is one fixed-point step from the prior weights
-        first = _inference._solve_fixed_point(packed, params, None, _inference._FIXED_POINT_TOL, 1)
+        first = _inference._solve_fixed_point(packed, params, None, max_iter=1)
     except DegenerateSubjectError:
         return {"params": params, "gamma": np.tile(params.pi, (packed.n, 1)), "trace": [-np.inf],
                 "converged": False, "n_iter": 0, "status": "non-finite start"}

@@ -81,11 +81,9 @@ def _linear_predictor(a: np.ndarray, phi: np.ndarray, b: np.ndarray, theta: np.n
 
 def loglik_matrix(packed: PackedData, params: OrdinalParams, theta: np.ndarray) -> np.ndarray:
     """Per-subject, per-group ordinal log-likelihoods as an (n, R) matrix."""
-    if packed.n_levels != params.n_levels or packed.n_items > params.n_items:
+    if packed.n_levels != params.n_levels or packed.n_items != params.n_items:
         raise DataError("data dimensions do not match the ordinal parameters")
     eta, logz = _linear_predictor(params.a, params.phi, params.b, theta)
-    eta = eta[:, :packed.n_items]
-    logz = logz[:, :packed.n_items]
     n, r = packed.n, theta.size
     flat = packed.counts.reshape(n, -1) @ eta.reshape(r, -1).T
     return flat - packed.cells @ logz.T

@@ -101,22 +101,18 @@ def breslow_steps(packed: PackedData, s0: np.ndarray) -> tuple[np.ndarray, np.nd
 class RiskSetTables:
     """Dataset-wide aggregates for one parameter point, shared read-only.
 
-    Holds the profiled hazard and the empirical M0/M1 tables the score
-    functions need, indexed by the packed dataset's distinct observed times.
-
-    ``gamma`` is kept read-only: an owning read-only float array, such as
-    the responsibilities :func:`inference.fixed_point_posterior` returns, is
-    shared; anything else is copied, so later writes to the caller's array
-    cannot reach the tables.  Only ``jumps`` is computed at construction, from
-    the risk-set sums of the rows' weight totals.  ``m0_group`` (M0 per
-    group), ``m0_x`` (M0 weighted by X), ``cum_jumps``, ``m0``, ``ratio`` and
-    ``int_ratio`` are derived on first read and then kept, so tables that
-    serve only the hazard hold gamma and the jumps alone.
+    Holds the profiled hazard ``jumps`` and the M1/M0 table ``ratio`` on the
+    packed distinct observed ``times``.  ``gamma`` is kept read-only: an
+    owning read-only float array, such as the responsibilities
+    :func:`inference.fixed_point_posterior` returns, is shared; anything else
+    is copied, so later writes to the caller's array cannot reach the tables.
+    ``ratio`` is derived on first read and then kept, so tables that serve
+    only the hazard hold gamma and the jumps alone.
 
     ``ratio[k]`` is M1/M0 at the k-th time in the score layout
     [theta[2..R], delta0, delta1]: delta0 M0_r / M0 for r = 2..R, then
-    sum_r theta_r M0_r / M0, then M0_x / M0.  ``int_ratio[k]`` is the
-    integral of ``ratio`` against the profiled hazard up to that time.
+    sum_r theta_r M0_r / M0, then M0_x / M0.  M0_r(t) sums gamma_ir exp(lp_ir)
+    over the risk set at t, divided by n; M0 = sum_r M0_r; M0_x weights M0 by X.
     """
 
     def __init__(self, packed: PackedData, gamma: np.ndarray, theta: np.ndarray,
@@ -130,42 +126,21 @@ class RiskSetTables:
         self.delta = delta
         self.times = packed.distinct_times
         self._packed = packed
-        ones = np.ones(theta.size)                # row sums as BLAS products
-        self.jumps, _ = breslow_steps(packed, packed.suffix_sums(self._weights() @ ones))
+        w = gamma * np.exp(linear_predictors(theta, delta, packed.covariates))
+        self.jumps, _ = breslow_steps(packed, packed.suffix_sums(w @ np.ones(theta.size)))
         self.jumps.flags.writeable = False
-
-    def _weights(self) -> np.ndarray:
-        """gamma_ir exp(lp_ir), formed again on each call so no (n, R) array is kept."""
-        return self.gamma * np.exp(linear_predictors(self.theta, self.delta, self._packed.covariates))
-
-    @functools.cached_property
-    def m0_group(self) -> np.ndarray:
-        return self._packed.suffix_sums(self._weights()) / self._packed.n
-
-    @functools.cached_property
-    def m0_x(self) -> np.ndarray:
-        packed = self._packed
-        total = self._weights() @ np.ones(self.theta.size)
-        return packed.suffix_sums(total * packed.covariates) / packed.n
-
-    @functools.cached_property
-    def cum_jumps(self) -> np.ndarray:
-        return np.cumsum(self.jumps)
-
-    @functools.cached_property
-    def m0(self) -> np.ndarray:
-        return self.m0_group @ np.ones(self.theta.size)
 
     @functools.cached_property
     def ratio(self) -> np.ndarray:
-        safe_m0 = np.where(self.m0 > 0, self.m0, 1.0)
-        m1 = np.column_stack([self.delta.delta0 * self.m0_group[:, 1:],
-                              self.m0_group @ self.theta, self.m0_x])
-        return m1 / safe_m0[:, None]              # (K, R+1)
-
-    @functools.cached_property
-    def int_ratio(self) -> np.ndarray:
-        return np.cumsum(self.jumps[:, None] * self.ratio, axis=0)
+        packed, theta, delta = self._packed, self.theta, self.delta
+        ones = np.ones(theta.size)
+        w = self.gamma * np.exp(linear_predictors(theta, delta, packed.covariates))
+        # [M0_1..M0_R, M0_x] from one risk-set pass
+        sums = packed.suffix_sums(np.column_stack([w, (w @ ones) * packed.covariates])) / packed.n
+        by_group = sums[:, :-1]
+        m0 = by_group @ ones
+        m1 = np.column_stack([delta.delta0 * by_group[:, 1:], by_group @ theta, sums[:, -1]])
+        return m1 / np.where(m0 > 0, m0, 1.0)[:, None]    # (K, R+1)
 
     def hazard_steps(self) -> HazardSteps:
         return HazardSteps(self.times, self.jumps)
@@ -178,7 +153,7 @@ def _grid_steps(packed: PackedData, hazard) -> tuple[np.ndarray, np.ndarray]:
     it has none; its cumulative hazard is read at the data times.
     """
     if isinstance(hazard, RiskSetTables):
-        return hazard.jumps, hazard.cum_jumps
+        return hazard.jumps, np.cumsum(hazard.jumps)
     if not isinstance(hazard, HazardSteps):
         return hazard
     times = packed.distinct_times
@@ -239,61 +214,41 @@ def profiled_loglik(packed: PackedData, gamma: np.ndarray, theta: np.ndarray,
     return value, grad
 
 
-def _group_sums(packed: PackedData, gamma: np.ndarray, tables: RiskSetTables):
-    """Per-subject ``(gv, gev, total)`` for the survival score kernels.
+def _scores(packed: PackedData, gamma: np.ndarray, tables: RiskSetTables,
+            mass: np.ndarray, cum_at: np.ndarray) -> np.ndarray:
+    """Per-subject survival scores over [theta[2..R], delta0, delta1] at the hazard
+    with mass[k] = Lambda((t_{k-1}, t_k]) and cum_at[k] = Lambda(t_k) on the packed times:
 
-    gv = sum_r gamma_r v_r and gev = sum_r gamma_r exp(lp_r) v_r in the layout
-    [theta[2..R], delta0, delta1], with v_r = (delta0 e_r, theta_r, X), and
-    total = sum_r gamma_r exp(lp_r).  The delta1 column of gv is X itself.
+    d [gv - M1/M0(T)] - gev Lambda(T) + total Int_0^T (M1/M0) dLambda, where
+    gv = sum_r gamma_r v_r, gev = sum_r gamma_r exp(lp_r) v_r, v_r = (delta0
+    e_r, theta_r, X) and total = sum_r gamma_r exp(lp_r).
     """
     theta, delta, x = tables.theta, tables.delta, packed.covariates
     ge = gamma * np.exp(linear_predictors(theta, delta, x))
     total = ge @ np.ones(theta.size)
     gv = np.column_stack([delta.delta0 * gamma[:, 1:], gamma @ theta, x])
     gev = np.column_stack([delta.delta0 * ge[:, 1:], ge @ theta, x * total])
-    return gv, gev, total
+    k = packed.time_index
+    integral = np.cumsum(mass[:, None] * tables.ratio, axis=0)
+    return (packed.events[:, None] * (gv - tables.ratio[k])
+            - gev * cum_at[k][:, None] + total[:, None] * integral[k])
 
 
 def profile_scores(packed: PackedData, gamma: np.ndarray, tables: RiskSetTables) -> np.ndarray:
     """Per-subject survival profile scores over [theta[2..R], delta0, delta1].
 
-    d [gv - M1/M0(T)] - gev Lambda-hat(T) + total Int_0^T (M1/M0) dLambda-hat
-    (gv, gev and total as in :func:`_group_sums`): the derivative of the
-    per-observation profiled log-likelihood with the posterior held constant.
-    The event term differentiates log lambda-hat(T) through -M1/M0, and the
-    exp term differentiates Lambda-hat through ``tables.int_ratio``.
+    The derivative of the per-observation profiled log-likelihood with the
+    posterior held constant, which is the efficient score :func:`_scores` at
+    the hazard profiled into ``tables``.
     """
-    gv, gev, total = _group_sums(packed, gamma, tables)
-    k = packed.time_index
-    return (packed.events[:, None] * (gv - tables.ratio[k])
-            - gev * tables.cum_jumps[k][:, None] + total[:, None] * tables.int_ratio[k])
-
-
-def _step_integrals(tables: RiskSetTables, baseline) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda mass of ``baseline`` on the intervals between observed times.
-
-    Returns (mass, cum_at_times); mass[k] is Lambda((t_{k-1}, t_k]), exact for
-    any cumulative hazard because M1/M0 is constant on those intervals.
-    """
-    cum_at = np.asarray(baseline.cum(tables.times), dtype=float)
-    mass = np.diff(cum_at, prepend=0.0)
-    return mass, cum_at
+    return _scores(packed, gamma, tables, tables.jumps, np.cumsum(tables.jumps))
 
 
 def efficient_scores(packed: PackedData, gamma: np.ndarray, baseline, tables: RiskSetTables) -> np.ndarray:
-    """Closed-form efficient survival scores against a supplied cumulative hazard.
+    """Efficient survival scores :func:`_scores` against a supplied cumulative hazard.
 
-    sum_r gamma_r d [v_r - M1(T)/M0(T)]
-        - sum_r gamma_r exp(lp_r) Int_0^T [v_r - M1(u)/M0(u)] dLambda(u),
-    with v_r = (delta0 e_r-slot, theta_r, X) in the [theta[2..R], delta0,
-    delta1] layout, written as d [gv - M1/M0(T)] - (gev Lambda(T) - total
-    Int_0^T (M1/M0) dLambda) with gv, gev and total from :func:`_group_sums`.
-    ``baseline`` may be a :class:`HazardSteps` or any object with a
-    ``cum(t)`` method; the integral is an exact finite sum.
+    ``baseline`` is a :class:`HazardSteps` or any object with a ``cum(t)``
+    method; the integral is exact because M1/M0 is constant between times.
     """
-    gv, gev, total = _group_sums(packed, gamma, tables)
-    k = packed.time_index
-    mass, cum_at = _step_integrals(tables, baseline)
-    integral = np.cumsum(mass[:, None] * tables.ratio, axis=0)[k]
-    return (packed.events[:, None] * (gv - tables.ratio[k])
-            - (gev * cum_at[k][:, None] - total[:, None] * integral))
+    cum_at = np.asarray(baseline.cum(tables.times), dtype=float)
+    return _scores(packed, gamma, tables, np.diff(cum_at, prepend=0.0), cum_at)

@@ -18,7 +18,7 @@ from jointmix.likelihood import (DegenerateSubjectError, _gamma_of, _loglik_and_
 from jointmix.ordinal import OrdinalParams, _linear_predictor
 from jointmix.params import ModelParams, ParamLayout
 from jointmix.survival import (EmptyRiskSetError, HazardSteps, InvalidHazardError, RiskSetTables,
-                               SurvivalParams, _step_integrals, linear_predictors)
+                               SurvivalParams, linear_predictors)
 
 
 # ------------------------------------------------------------ survival
@@ -103,7 +103,13 @@ def survival_loglik(rec: SurvivalRecord, group_effect: float, hazard: HazardStep
 
 def _record_sums(rec: SurvivalRecord, gamma_row: np.ndarray, theta: np.ndarray,
                  delta: SurvivalParams):
-    """One subject's ``(gv, gev, total)``, as in :func:`survival._group_sums`."""
+    """One subject's ``(gv, gev, total)``, the group sums of :func:`survival._scores`.
+
+    gv = sum_r gamma_r v_r and gev = sum_r gamma_r exp(lp_r) v_r in the layout
+    [theta[2..R], delta0, delta1], with v_r = (delta0 e_r, theta_r, X), and
+    total = sum_r gamma_r exp(lp_r).  The score oracles below take Lambda(T)
+    and Int_0^T (M1/M0) dLambda from ``jumps[:k+1]`` and ``ratio[:k+1]``.
+    """
     gamma_row = np.asarray(gamma_row, dtype=float)
     theta = np.asarray(theta, dtype=float)
     ge = gamma_row * np.exp(theta * delta.delta0 + rec.covariate * delta.delta1)
@@ -120,8 +126,8 @@ def survival_profile_score(rec: SurvivalRecord, gamma_row: np.ndarray, tables: R
         raise ValueError("aggregate tables were built at a different parameter point")
     k = time_slot(tables, rec.time)
     gv, gev, total = _record_sums(rec, gamma_row, theta, delta)
-    return (float(rec.event) * (gv - tables.ratio[k])
-            - gev * tables.cum_jumps[k] + total * tables.int_ratio[k])
+    jumps, ratio = tables.jumps[:k + 1], tables.ratio[:k + 1]
+    return float(rec.event) * (gv - ratio[k]) - gev * jumps.sum() + total * (jumps @ ratio)
 
 
 def efficient_score_survival(rec: SurvivalRecord, gamma_row: np.ndarray, baseline,
@@ -132,8 +138,8 @@ def efficient_score_survival(rec: SurvivalRecord, gamma_row: np.ndarray, baselin
         raise ValueError("aggregate tables were built at a different parameter point")
     k = time_slot(tables, rec.time)
     gv, gev, total = _record_sums(rec, gamma_row, theta, delta)
-    mass, cum_at = _step_integrals(tables, baseline)
-    integral = mass[:k + 1] @ tables.ratio[:k + 1]
+    cum_at = np.asarray(baseline.cum(tables.times[:k + 1]), dtype=float)
+    integral = np.diff(cum_at, prepend=0.0) @ tables.ratio[:k + 1]
     return float(rec.event) * (gv - tables.ratio[k]) - (gev * cum_at[k] - total * integral)
 
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import tracemalloc
@@ -516,7 +517,8 @@ class TestProfileObjective:
         z[-1] = -800.0                            # pi[2] underflows
         assert objective(z)[0] == np.inf
         z[-1] = 0.0
-        monkeypatch.setattr(jointmix.inference, "_FIXED_POINT_MAX_ITER", 1)
+        monkeypatch.setattr(jointmix.inference, "_solve_fixed_point",
+                            functools.partial(jointmix.inference._solve_fixed_point, max_iter=1))
         assert objective(z)[0] == np.inf          # the fixed point is not reached
         monkeypatch.undo()
         assert np.isfinite(objective(z)[0])

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from jointmix import (ConstantBaseline, HazardSteps, InfoMatrix, ModelParams, OrdinalParams,
                       ParamLayout, SingularInformationError, StepDirection, SurvivalParams,
                       contraction_check, default_design, default_directions,
-                      efficient_score_equivalence, fixed_point_posterior, generate_dataset,
+                      efficient_score_equivalence, em_fit, fixed_point_posterior, generate_dataset,
                       info_identity_check, information_matrix, mean_profile_score,
                       orthogonality_check, score_matrix, standard_errors)
-from jointmix.data import PackedData
+from jointmix.data import DataError, PackedData
 from jointmix.inference import pseudo_standard_errors, true_posterior
+from jointmix.ordinal import loglik_matrix
 from jointmix.simulation import SimDesign, UniformCensoring
 from jointmix.survival import RiskSetTables
 
@@ -251,10 +252,18 @@ class TestOrthogonality:
 
 class TestEquivalence:
     @pytest.mark.parametrize("seed", range(4))
-    def test_gap_at_roundoff(self, seed):
+    def test_gap_within_central_difference_error(self, seed):
         params, records, gamma = dataset_and_gamma(seed + 50, n=60)
         gap = efficient_score_equivalence(records, params, gamma)
         assert gap <= 1e-8
+
+    def test_wrong_ratio_table_detected(self, monkeypatch):
+        design = default_design(200, 4)
+        records, _ = generate_dataset(design)
+        gamma, _ = fixed_point_posterior(records, design.params)
+        ratio = RiskSetTables.ratio.func
+        monkeypatch.setattr(RiskSetTables, "ratio", property(lambda tables: 1.01 * ratio(tables)))
+        assert efficient_score_equivalence(records, design.params, gamma) > 1e-4
 
     def test_perturbed_hazard_detected(self):
         from jointmix.survival import efficient_scores, profile_scores
@@ -266,6 +275,26 @@ class TestEquivalence:
         gap = np.max(np.abs(profile_scores(packed, gamma, tables)
                             - efficient_scores(packed, gamma, bumped, tables)))
         assert gap > 1e-4
+
+
+class TestPackedDimensions:
+    def test_packed_data_of_other_dimensions_rejected(self):
+        _, records, _ = dataset_and_gamma(95, n=30)
+        packed = PackedData(records)
+        assert (packed.n_levels, packed.n_items) == (3, 2)
+        wider = random_params(np.random.default_rng(96), 2, 3, 3)
+        calls = {
+            "loglik_matrix": lambda: loglik_matrix(packed, wider.ordinal, wider.theta),
+            "fixed_point_posterior": lambda: fixed_point_posterior(packed, wider),
+            "mean_profile_score": lambda: mean_profile_score(packed, wider),
+            "score_matrix": lambda: score_matrix(packed, wider, np.full((30, 2), 0.5)),
+            "info_identity_check": lambda: info_identity_check(packed, wider),
+            "em_fit": lambda: em_fit(packed, 2, init=wider),
+        }
+        for name, call in calls.items():
+            with pytest.raises(DataError):
+                call()
+                pytest.fail(f"{name} accepted packed data of other dimensions")
 
 
 class TestContraction:
@@ -354,7 +383,7 @@ class TestFixedPoint:
         gamma, tables = fixed_point_posterior(packed, params, gamma0)
         gamma_ref, tables_ref = fixed_point_oracle(packed, params, gamma0)
         np.testing.assert_allclose(gamma, gamma_ref, rtol=0, atol=1e-12)
-        for name in ("jumps", "cum_jumps", "int_ratio"):
+        for name in ("jumps", "ratio"):
             np.testing.assert_allclose(getattr(tables, name), getattr(tables_ref, name),
                                        rtol=1e-12, atol=1e-15, err_msg=name)
 
@@ -432,6 +461,16 @@ class TestFixedPoint:
         score = mean_profile_score(packed, params)
         np.testing.assert_allclose(mean_profile_score(moved, params), score,
                                    rtol=0, atol=1e-10 * max(1.0, np.max(np.abs(score))))
+        rows = score_matrix(packed, params, gamma, tables)
+        scale = 1e-10 * max(1.0, np.max(np.abs(rows)))
+        np.testing.assert_allclose(score_matrix(moved, params, gamma_c, tables_c), rows,
+                                   rtol=0, atol=scale)
+        # the rows follow the subjects through a reordering
+        perm = np.random.default_rng(seed).permutation(packed.n)
+        shuffled = PackedData.coerce([records[i] for i in perm], 3, 2)
+        gamma_p, tables_p = fixed_point_posterior(shuffled, params)
+        np.testing.assert_allclose(score_matrix(shuffled, params, gamma_p, tables_p), rows[perm],
+                                   rtol=0, atol=scale)
 
     def test_true_posterior_rows_simplex(self):
         design = default_design(n=50, seed=82)

@@ -66,8 +66,6 @@ class TestRiskAggregates:
 
 
 class TestRiskSetTables:
-    DERIVED = ("cum_jumps", "m0", "ratio", "int_ratio")
-
     @staticmethod
     def draw(seed, n=25, n_groups=3):
         rng = np.random.default_rng(seed)
@@ -80,16 +78,17 @@ class TestRiskSetTables:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_risk_aggregates_at_each_distinct_time(self, seed):
         records, gamma, theta, delta = self.draw(seed)
-        tables = risk_set_tables(records, gamma, theta, delta)
+        packed = PackedData.coerce(records)
+        tables = risk_set_tables(packed, gamma, theta, delta)
         R = theta.size
         for k, t in enumerate(tables.times):
             m0, m1 = risk_aggregates(t, records, gamma, theta, delta)
-            assert tables.m0[k] == pytest.approx(m0, rel=1e-13)
-            assert tables.m0_group[k].sum() == pytest.approx(m0, rel=1e-13)
-            assert tables.m0_group[k] @ theta == pytest.approx(m1[1], rel=1e-13, abs=1e-15)
-            assert tables.m0_x[k] == pytest.approx(m1[2], rel=1e-13, abs=1e-15)
-            np.testing.assert_allclose(tables.ratio[k, :R - 1],
-                                       delta.delta0 * tables.m0_group[k, 1:] / m0, rtol=1e-13)
+            assert tables.jumps[k] == pytest.approx(packed.event_counts[k] / (packed.n * m0),
+                                                    rel=1e-13, abs=0)
+            for r in range(1, R):                 # M0_r: the aggregates of group r alone
+                m0_r, _ = risk_aggregates(t, records, gamma * (np.arange(R) == r), theta, delta)
+                assert tables.ratio[k, r - 1] == pytest.approx(delta.delta0 * m0_r / m0,
+                                                               rel=1e-13, abs=1e-15)
             assert tables.ratio[k, R - 1] == pytest.approx(m1[1] / m0, rel=1e-13, abs=1e-15)
             assert tables.ratio[k, R] == pytest.approx(m1[2] / m0, rel=1e-13, abs=1e-15)
 
@@ -97,15 +96,15 @@ class TestRiskSetTables:
         records, gamma, theta, delta = self.draw(3)
         packed = PackedData.coerce(records)
         reference = risk_set_tables(packed, gamma.copy(), theta, delta)
-        expected = {name: np.array(getattr(reference, name))
-                    for name in ("jumps", "m0_group", "m0_x") + self.DERIVED}
-        tables = risk_set_tables(packed, gamma, theta, delta)
-        first_read = tables.ratio.copy()          # one derived table read before the change
+        expected = {name: np.array(getattr(reference, name)) for name in ("jumps", "ratio")}
+        read_first = risk_set_tables(packed, gamma, theta, delta)
+        read_first.ratio                          # derived before the change, kept after it
+        read_later = risk_set_tables(packed, gamma, theta, delta)
         gamma[:] = gamma[::-1] * 3.0
         theta[1:] += 1.0
-        np.testing.assert_array_equal(tables.ratio, first_read)
-        for name, want in expected.items():
-            np.testing.assert_array_equal(getattr(tables, name), want, err_msg=name)
+        for tables in (read_first, read_later):
+            for name, want in expected.items():
+                np.testing.assert_array_equal(getattr(tables, name), want, err_msg=name)
 
 
 @st.composite
@@ -312,7 +311,7 @@ def profile_loglik_sum(packed, gamma, theta_free, delta_vec):
     delta = SurvivalParams(float(delta_vec[0]), float(delta_vec[1]))
     tables = risk_set_tables(packed, gamma, theta, delta)
     lp = theta[None, :] * delta.delta0 + packed.covariates[:, None] * delta.delta1
-    cum = tables.cum_jumps[packed.time_index]
+    cum = np.cumsum(tables.jumps)[packed.time_index]
     log_jump = np.zeros(packed.n)
     ev = packed.events > 0
     log_jump[ev] = np.log(tables.jumps[packed.time_index[ev]])
@@ -323,7 +322,7 @@ def profile_loglik_sum(packed, gamma, theta_free, delta_vec):
 def per_subject_profile_loglik(packed, gamma, theta, delta, i):
     tables = risk_set_tables(packed, gamma, theta, delta)
     lp = theta * delta.delta0 + packed.covariates[i] * delta.delta1
-    cum = tables.cum_jumps[packed.time_index[i]]
+    cum = np.cumsum(tables.jumps)[packed.time_index[i]]
     val = -cum * np.exp(lp)
     if packed.events[i] > 0:
         val = val + np.log(tables.jumps[packed.time_index[i]]) + lp
