@@ -6,15 +6,14 @@ logit pi[2..R] against group 1).  At fixed z the Breslow hazard and the
 responsibilities are profiled out together: the fixed point of
 :func:`inference._solve_fixed_point` alternates the posterior and the hazard
 profiled from it until no responsibility moves by 1e-12.  pl(z) is the
-observed log-likelihood at that hazard.  Its gradient is the M-step
-objective's gradient (:meth:`_MStepContext.neg_q_grad`) at the fixed-point
+observed log-likelihood at that hazard.  Its gradient is the gradient of the
+M-step objective Q (:class:`likelihood._CollapsedQ`) at the fixed-point
 responsibilities, because at the fixed point the derivatives through the
 hazard and the posterior cancel (the envelope identity behind
 :func:`survival.profiled_loglik`), plus the pi score sum_i (gamma_ir - pi_r).
-That objective and its natural-coordinate gradient are
-:class:`likelihood._CollapsedQ`, the kernel that
-:func:`inference.mean_profile_score` and :func:`inference.info_identity_check`
-also evaluate at the fixed point.
+:func:`inference._profile_point` solves the fixed point and takes that
+gradient, for the fit as for :func:`inference.mean_profile_score` and
+:func:`inference.info_identity_check`.
 
 Each restart takes one plain EM step first (one fixed-point step from the
 prior weights, then :func:`m_step_theta` with pi set to the responsibility
@@ -52,7 +51,7 @@ from . import survival as _survival
 from .data import PackedData
 from .likelihood import DegenerateSubjectError, _CollapsedQ, _gamma_of, _posterior_matrix
 from .ordinal import OrdinalParams
-from .params import ModelParams, ParamLayout, _phi_chain, phi_from_u
+from .params import ModelParams, ParamLayout, phi_from_u
 from .survival import HazardSteps, RiskSetTables, SurvivalParams
 
 _COLLAPSE_PI = 1e-6
@@ -165,33 +164,6 @@ def e_step(data, params: ModelParams, hazard) -> Posterior:
 
 # ------------------------------------------------------------ M-step and BFGS
 
-class _MStepContext:
-    """The M-step objective -Q/n in optimizer coordinates for fixed responsibilities.
-
-    Q and its natural-coordinate gradient are :class:`likelihood._CollapsedQ`;
-    this maps optimizer coordinates to natural ones and the gradient back.
-    """
-
-    def __init__(self, packed: PackedData, gamma: np.ndarray, layout: ParamLayout):
-        self.layout = layout
-        self.q = _CollapsedQ(packed, gamma, layout)
-        self.scale = 1.0 / packed.n
-
-    def neg_q_grad(self, y: np.ndarray):
-        """Value and gradient of -Q/n at optimizer coordinates ``y``."""
-        lay = self.layout
-        if not np.all(np.isfinite(y)):     # SurvivalParams below rejects such points
-            return np.inf, np.zeros(lay.n_free)
-        q, grad = self.q.value_and_grad(
-            np.concatenate([[0.0], y[lay.sl_theta]]), np.concatenate([[0.0], y[lay.sl_a]]),
-            np.concatenate([[0.0], y[lay.sl_b]]), phi_from_u(y[lay.sl_phi], lay.L),
-            SurvivalParams(y[lay.idx_d0], y[lay.idx_d1]))
-        if not np.isfinite(q):
-            return np.inf, np.zeros(lay.n_free)
-        g_opt = lay.grad_to_opt(grad, y[lay.sl_phi])
-        return -q * self.scale, -g_opt * self.scale
-
-
 def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int, max_eval: float = np.inf,
           accept=None, h0=None):
     """Minimize ``fun`` (value and gradient) by BFGS with Armijo backtracking.
@@ -267,8 +239,19 @@ def m_step_theta(data, posterior, params: ModelParams) -> ModelParams:
     gamma = _gamma_of(posterior)
     if not np.all(np.isfinite(gamma)):
         raise MStepError("objective is not finite at the entry point", params)
-    ctx = _MStepContext(packed, gamma, layout)
-    y, f, _ = _bfgs(ctx.neg_q_grad, layout.pack_opt(params), _INNER_GTOL, _M_STEP_MAX_ITER)
+    q = _CollapsedQ(packed, gamma, layout)
+    scale = 1.0 / packed.n
+
+    def neg_q(y: np.ndarray):
+        """Value and gradient of -Q/n at optimizer coordinates ``y``."""
+        if not np.all(np.isfinite(y)):     # unpack_opt below rejects such points
+            return np.inf, np.zeros(layout.n_free)
+        value, grad = q.value_and_grad(layout.unpack_opt(y, params.pi))
+        if not np.isfinite(value):
+            return np.inf, np.zeros(layout.n_free)
+        return -value * scale, -layout.grad_to_opt(grad, y[layout.sl_phi]) * scale
+
+    y, f, _ = _bfgs(neg_q, layout.pack_opt(params), _INNER_GTOL, _M_STEP_MAX_ITER)
     if not np.isfinite(f):
         raise MStepError("objective is not finite at the entry point", params)
     return layout.unpack_opt(y, params.pi)
@@ -346,18 +329,16 @@ class _ProfileObjective:
                 with np.errstate(under="raise"):
                     pi = np.exp(logit - logit.max())
                 params = lay.unpack_opt(y, pi / pi.sum())
-                solve = _inference._solve_fixed_point(packed, params, self.gamma)
-                if not solve.converged:
-                    return failed
-                f_q, g_q = _MStepContext(packed, solve.gamma, lay).neg_q_grad(y)
+                solve, grad = _inference._profile_point(packed, params, self.gamma)
         except (DegenerateSubjectError, _survival.EmptyRiskSetError, FloatingPointError):
             return failed
-        if not (np.isfinite(f_q) and np.isfinite(solve.loglik)):
+        if not (solve.converged and np.isfinite(solve.loglik) and np.all(np.isfinite(grad))):
             return failed
         self.gamma = solve.gamma
         self.last = z, params, solve.loglik
         pi_score = (np.ones(packed.n) @ solve.gamma)[1:] / packed.n - params.pi[1:]
-        return -solve.loglik / packed.n, np.concatenate([g_q, -pi_score])
+        g_opt = -lay.grad_to_opt(grad, y[lay.sl_phi]) * (1.0 / packed.n)
+        return -solve.loglik / packed.n, np.concatenate([g_opt, -pi_score])
 
     def inverse_opg(self) -> np.ndarray | None:
         """inv(S'S / n) at the last finite call, or None where S'S is singular.
@@ -369,8 +350,7 @@ class _ProfileObjective:
         """
         z, params, _ = self.last
         lay, gamma = self.layout, self.gamma
-        scores = _inference.score_matrix(self.packed, params, gamma)
-        scores[:, lay.sl_phi] = _phi_chain(scores[:, lay.sl_phi], z[lay.sl_phi], lay.L)
+        scores = lay.grad_to_opt(_inference.score_matrix(self.packed, params, gamma), z[lay.sl_phi])
         info = _inference._info_from_scores(
             np.hstack([scores, gamma[:, 1:] - params.pi[1:]]))
         if not info.condition < _inference._SINGULAR_CONDITION:
@@ -484,7 +464,8 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
         tolerance.  ``n_iter`` is that restart's
         evaluation count and ``loglik_trace`` its log-likelihood at the start
         and at every accepted iterate.  ``converged`` additionally requires the
-        dataset-mean profile score at the fixed-point responsibilities to have
+        dataset-mean profile score at the fixed-point responsibilities, and
+        the mixture-weight score mean_i gamma_ir - pi_r there, to have
         sup-norm <= 1e-6.
     """
     if n_groups < 1:
@@ -518,8 +499,10 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
     tables = RiskSetTables(packed, gamma, params.theta, params.survival)
 
     scores = _inference.score_matrix(packed, params, gamma, tables)
+    pi_score = (np.ones(packed.n) @ gamma) / packed.n - params.pi
     converged = best["converged"]
-    if converged and np.max(np.abs(scores.mean(axis=0))) > _FIRST_ORDER_TOL:
+    if converged and max(np.max(np.abs(scores.mean(axis=0))),
+                         np.max(np.abs(pi_score))) > _FIRST_ORDER_TOL:
         converged = False
         diagnostics.append("first-order condition not met at exit")
 

@@ -24,6 +24,11 @@ _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITER = 500
 # relative step of efficient_score_equivalence; 1e-4 and 1e-6 give 3e-8 and 9e-9 gaps
 _EQUIVALENCE_STEP = 1e-5
+# relative step of info_identity_check; the standard errors from its Jacobian
+# agree to four digits for steps from 1e-5 to 1e-2
+_IDENTITY_STEP = 1e-3
+# event-time quantiles of default_directions' indicator directions
+_DIRECTION_QUANTILES = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
 class SingularInformationError(RuntimeError):
@@ -175,40 +180,38 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
     return _FixedPoint(gamma, (jumps, cum), loglik, n_steps, converged)
 
 
-def fixed_point_posterior(data, params: ModelParams, gamma0: np.ndarray | None = None,
-                          max_iter: int = _FIXED_POINT_MAX_ITER):
+def fixed_point_posterior(data, params: ModelParams, gamma0: np.ndarray | None = None):
     """Solve the responsibility/profiled-hazard fixed point at fixed parameters.
 
     The profiled hazard depends on the responsibilities and vice versa;
     iterating the pair converges under the contraction condition checked by
     :func:`contraction_check`.  Iteration stops once no responsibility moves
-    by 1e-12 or more, and warns after ``max_iter`` steps without that.
-    Returns ``(gamma, tables)``: ``gamma`` is read-only, and the tables are
-    built from it and share it rather than copy it.  The iteration itself is
-    :func:`_solve_fixed_point`.
+    by 1e-12 or more, and warns after ``_FIXED_POINT_MAX_ITER`` (500) steps
+    without that.  Returns ``(gamma, tables)``: ``gamma`` is read-only, and the
+    tables are built from it and share it rather than copy it.  The iteration
+    itself is :func:`_solve_fixed_point`.
     """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
-    solve = _solve_fixed_point(packed, params, gamma0, max_iter)
+    solve = _solve_fixed_point(packed, params, gamma0)
     if not solve.converged:
         warnings.warn("responsibility fixed point did not converge", RuntimeWarning, stacklevel=2)
     return solve.gamma, RiskSetTables(packed, solve.gamma, params.theta, params.survival)
 
 
-def _mean_score_at(packed: PackedData, params: ModelParams,
-                   gamma0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Mean profile score at ``params`` and the fixed-point responsibilities behind it.
+def _profile_point(packed: PackedData, params: ModelParams,
+                   gamma0: np.ndarray | None) -> tuple[_FixedPoint, np.ndarray]:
+    """The fixed point at ``params`` solved from ``gamma0``, and the gradient of Q there.
 
-    Solves the fixed point from ``gamma0`` (warning, for the public caller's
-    caller, when it does not converge) and takes the gradient of Q/n there
-    from :class:`likelihood._CollapsedQ`; no tables or score matrix are built.
+    The gradient is :class:`likelihood._CollapsedQ`'s over the free natural
+    coordinates at the fixed-point responsibilities, which is n times the
+    dataset-mean profile score (the envelope identity); no tables or score
+    matrix are built.  The caller decides what a solve that did not converge
+    means.
     """
     solve = _solve_fixed_point(packed, params, gamma0)
-    if not solve.converged:
-        warnings.warn("responsibility fixed point did not converge", RuntimeWarning, stacklevel=3)
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
-    _, grad = _CollapsedQ(packed, solve.gamma, layout).value_and_grad(
-        params.theta, params.ordinal.a, params.ordinal.b, params.ordinal.phi, params.survival)
-    return grad / packed.n, solve.gamma
+    _, grad = _CollapsedQ(packed, solve.gamma, layout).value_and_grad(params)
+    return solve, grad
 
 
 def mean_profile_score(data, params: ModelParams, gamma0: np.ndarray | None = None) -> np.ndarray:
@@ -217,11 +220,14 @@ def mean_profile_score(data, params: ModelParams, gamma0: np.ndarray | None = No
     At the fixed-point responsibilities the mean of ``score_matrix`` equals the
     gradient of Q/n with the hazard profiled out (the envelope identity), so
     this solves the fixed point from ``gamma0`` and takes that gradient from
-    the collapsed (R, J, L) ordinal tables and the survival risk-set sums,
-    with no per-subject scores.  Warns when the fixed point does not converge.
+    :func:`_profile_point`, with no per-subject scores.  Warns when the fixed
+    point does not converge.
     """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
-    return _mean_score_at(packed, params, gamma0)[0]
+    solve, grad = _profile_point(packed, params, gamma0)
+    if not solve.converged:
+        warnings.warn("responsibility fixed point did not converge", RuntimeWarning, stacklevel=2)
+    return grad / packed.n
 
 
 @dataclass(frozen=True)
@@ -233,23 +239,21 @@ class IdentityCheck:
     rel_frobenius_gap: float
 
 
-def info_identity_check(data, params: ModelParams, step: float = 1e-3) -> IdentityCheck:
+def info_identity_check(data, params: ModelParams) -> IdentityCheck:
     """Compare -d(mean score)/d(theta^T) by central differences with the
     empirical outer-product information at the same point.
 
     The hazard and the responsibilities are re-profiled (to their fixed
     point) at every perturbed parameter point, and the mean score there is
-    :func:`mean_profile_score`'s collapsed Q-gradient.  Each plus-side solve
+    :func:`_profile_point`'s collapsed Q-gradient over n.  Each plus-side solve
     starts from the fixed point gamma* at ``params``; each minus-side solve
     starts from max(2 gamma* - gamma+, 0) with its rows renormalized, the
     plus side's solution reflected through gamma*, which is where the
     minus side's fixed point lies to first order in the step.  The
     outer-product information is ``information_matrix`` at gamma*.  The
-    per-coordinate step is ``step * max(1, |coordinate|)``.  Warns when a
-    fixed point does not converge.
+    per-coordinate step is ``_IDENTITY_STEP * max(1, |coordinate|)``.  Warns
+    when a fixed point does not converge.
     """
-    if not 1e-5 <= step <= 1e-2:
-        raise ValueError("step must lie in [1e-5, 1e-2]")
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
     gamma_star, tables_star = fixed_point_posterior(packed, params)
@@ -267,11 +271,14 @@ def info_identity_check(data, params: ModelParams, step: float = 1e-3) -> Identi
 
     jac = np.empty((layout.n_free, layout.n_free))
     for c in range(layout.n_free):
-        h = step * max(1.0, abs(x0[c]))
-        plus, gamma_plus = _mean_score_at(packed, perturbed(c, h), gamma_star)
-        warm = np.maximum(2.0 * gamma_star - gamma_plus, 0.0)
-        minus, _ = _mean_score_at(packed, perturbed(c, -h), warm / (warm @ ones)[:, None])
-        col = -(plus - minus) / (2.0 * h)
+        h = _IDENTITY_STEP * max(1.0, abs(x0[c]))
+        plus, grad_plus = _profile_point(packed, perturbed(c, h), gamma_star)
+        warm = np.maximum(2.0 * gamma_star - plus.gamma, 0.0)
+        minus, grad_minus = _profile_point(packed, perturbed(c, -h), warm / (warm @ ones)[:, None])
+        if not (plus.converged and minus.converged):
+            warnings.warn("responsibility fixed point did not converge", RuntimeWarning,
+                          stacklevel=2)
+        col = -(grad_plus / packed.n - grad_minus / packed.n) / (2.0 * h)
         if not np.all(np.isfinite(col)):
             raise FloatingPointError(f"non-finite finite-difference column for {layout.names[c]}")
         jac[:, c] = col
@@ -328,13 +335,13 @@ def indicator_direction(cutoff: float) -> StepDirection:
     return StepDirection(np.asarray([cutoff]), np.asarray([1.0, 0.0]), name=f"1[0, {cutoff:g}]")
 
 
-def default_directions(data, quantiles=(0.1, 0.3, 0.5, 0.7, 0.9)) -> list[StepDirection]:
-    """Constant direction plus indicators at event-time quantiles."""
+def default_directions(data) -> list[StepDirection]:
+    """Constant direction plus indicators at the event-time quantiles ``_DIRECTION_QUANTILES``."""
     packed = PackedData.coerce(data)
     event_times = packed.times[packed.events > 0]
     if event_times.size == 0:
         raise ValueError("no events in the dataset")
-    cuts = np.quantile(event_times, quantiles)
+    cuts = np.quantile(event_times, _DIRECTION_QUANTILES)
     return [constant_direction(1.0)] + [indicator_direction(float(c)) for c in cuts]
 
 

@@ -6,8 +6,9 @@ the responsibilities it implies.  The hazard may take any form that
 
 :class:`_CollapsedQ` is the expected complete-data objective Q for fixed
 responsibilities, with the hazard profiled out, and its gradient in natural
-coordinates.  It is the M-step objective of :mod:`em` and, at the
-fixed-point responsibilities, the mean profile score of :mod:`inference`.
+coordinates.  It is the M-step objective of :func:`em.m_step_theta` and, at
+the fixed-point responsibilities, n times the mean profile score
+(:func:`inference._profile_point`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from . import ordinal as _ordinal
 from . import survival as _survival
 from .data import PackedData
 from .params import ModelParams, ParamLayout
-from .survival import SurvivalParams
 
 
 class DegenerateSubjectError(RuntimeError):
@@ -82,14 +82,13 @@ class _CollapsedQ:
             layout.R, packed.n_items, packed.n_levels)
         self.wm = gamma.T @ packed.cells
 
-    def value_and_grad(self, theta: np.ndarray, a: np.ndarray, b: np.ndarray, phi: np.ndarray,
-                       delta: SurvivalParams):
-        """``(q, grad)`` at natural coordinates with the constrained entries included.
-
-        ``grad`` is over the free coordinates in the ``ParamLayout.pack`` order.
-        """
+    def value_and_grad(self, params: ModelParams):
+        """``(q, grad)`` at ``params``; ``grad`` is over the free coordinates in the
+        ``ParamLayout.pack`` order.  The mixture weights do not enter."""
         lay = self.layout
         L = lay.L
+        theta, delta = params.theta, params.survival
+        a, b, phi = params.ordinal.a, params.ordinal.b, params.ordinal.phi
         xs = b[None, :] + theta[:, None]
         eta, logz = _ordinal._linear_predictor(a, phi, b, theta)
         q = float((self.wc * eta).sum() - (self.wm * logz).sum())

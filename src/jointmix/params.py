@@ -126,10 +126,10 @@ class ParamLayout:
         return self.unpack(x, pi)
 
     def grad_to_opt(self, grad_natural: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Map a natural-coordinate gradient to optimizer coordinates (chain rule on phi)."""
-        out = np.asarray(grad_natural, dtype=float).copy()
+        """Map natural-coordinate gradients (last axis) to optimizer coordinates (chain rule on phi)."""
+        out = np.array(grad_natural, dtype=float)
         if self.L > 2:
-            out[self.sl_phi] = _phi_chain(grad_natural[self.sl_phi], np.asarray(u, float), self.L)
+            out[..., self.sl_phi] = _phi_chain(out[..., self.sl_phi], np.asarray(u, float), self.L)
         return out
 
 

@@ -6,12 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import jointmix.em
 import jointmix.inference
 from jointmix import (EMConfig, ModelParams, MStepError, OrdinalParams, ParamLayout, Posterior,
                       SurvivalParams, e_step, em_fit, fixed_point_posterior, m_step_theta,
                       relabel_ascending)
 from jointmix.data import PackedData
-from jointmix.em import _bfgs, _MStepContext, _ProfileObjective
+from jointmix.em import _bfgs, _ProfileObjective
+from jointmix.likelihood import _CollapsedQ
 from jointmix.simulation import (ConstantBaseline, SimDesign, UniformCensoring, _replication_seed,
                                  default_design, generate_dataset)
 
@@ -123,14 +125,11 @@ class TestMStepTheta:
                              OrdinalParams(np.array([0.0, 0.0]), np.array([0.0, 1.0]),
                                            np.array([0.0])),
                              SurvivalParams(0.0, 0.0), np.array([1.0]))
-        layout = ParamLayout(1, 2, 1)
-        ctx = _MStepContext(packed, gamma, layout)
+        q = _CollapsedQ(packed, gamma, ParamLayout(1, 2, 1))
 
         def objective(d0, d1):
-            y = layout.pack_opt(params)
-            y[layout.idx_d0] = d0
-            y[layout.idx_d1] = d1
-            return -ctx.neg_q_grad(y)[0]
+            return q.value_and_grad(ModelParams(params.theta, params.ordinal,
+                                                SurvivalParams(d0, d1), params.pi))[0]
 
         fitted = m_step_theta(records, gamma, params)
         grid = np.linspace(-2, 2, 81)
@@ -152,10 +151,10 @@ class TestMStepTheta:
             records = small_dataset(rng, 15, two_group_params())
             packed = PackedData.coerce(records, 3, 2)
             gamma = random_gamma(rng, 15, 2)
-            ctx = _MStepContext(packed, gamma, layout)
-            entry = ctx.neg_q_grad(layout.pack_opt(params))[0]
+            q = _CollapsedQ(packed, gamma, layout)
+            entry = -q.value_and_grad(params)[0] / packed.n
             fitted = m_step_theta(records, gamma, params)
-            exit_val = ctx.neg_q_grad(layout.pack_opt(fitted))[0]
+            exit_val = -q.value_and_grad(fitted)[0] / packed.n
             assert exit_val <= entry + 1e-12
 
     def test_non_finite_entry_raises_with_the_entry_point(self):
@@ -298,16 +297,19 @@ class TestEmFit:
 
     @pytest.mark.parametrize("seed", [201, 204])
     def test_subject_order_leaves_the_fit_unchanged(self, converged_fit, seed):
-        _, records, fit = converged_fit
+        # tolerances tight enough that both orders stop at the optimum, not a
+        # round-off-dependent evaluation short of it
+        _, records, _ = converged_fit
+        config = EMConfig(n_restarts=2, max_iter=4000, seed=5, tol_param=1e-9, tol_loglik=1e-14)
+        fit = em_fit(records, 2, config)
         order = np.random.default_rng(seed).permutation(len(records))
-        permuted = em_fit([records[i] for i in order], 2,
-                          EMConfig(n_restarts=2, max_iter=4000, seed=5))
-        assert permuted.converged
+        permuted = em_fit([records[i] for i in order], 2, config)
+        assert fit.converged and permuted.converged
         assert permuted.loglik == pytest.approx(fit.loglik, rel=1e-10)
         layout = ParamLayout(2, 3, 2)
         np.testing.assert_allclose(np.concatenate([layout.pack(permuted.params), permuted.params.pi]),
                                    np.concatenate([layout.pack(fit.params), fit.params.pi]),
-                                   rtol=0, atol=1e-6)
+                                   rtol=0, atol=1e-7)
 
     def test_group_labels_leave_the_fit_unchanged(self, converged_fit):
         # the same start with its groups relabeled: theta re-normalized to theta[1] = 0,
@@ -362,6 +364,25 @@ class TestEmFit:
         # the accelerated-EM fit of the same data reached -5710.4728652936
         assert fit.loglik >= -5710.4728652936
         assert fit.params.ordinal.phi[1] > 0.9999
+
+    @pytest.mark.parametrize("shift", [1e-3, -1e-3])
+    def test_mixture_weight_score_is_certified(self, converged_fit, monkeypatch, shift):
+        # weights moved off their responsibility means, responsibilities kept: the
+        # structural scores do not depend on pi given gamma, the pi score does
+        _, records, fit = converged_fit
+        fit_restart = jointmix.em._fit_restart
+
+        def shifted(packed, params, config):
+            result = fit_restart(packed, params, config)
+            p = result["params"]
+            pi = p.pi + shift * np.array([1.0, -1.0])
+            result["params"] = ModelParams(p.theta, p.ordinal, p.survival, pi)
+            return result
+
+        monkeypatch.setattr(jointmix.em, "_fit_restart", shifted)
+        moved = em_fit(records, 2, EMConfig(n_restarts=2, max_iter=4000, seed=5))
+        assert fit.converged and not moved.converged
+        assert "first-order condition not met at exit" in moved.diagnostics
 
     def test_max_iter_bounds_evaluations(self):
         design = default_design(n=120, seed=4)

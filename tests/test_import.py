@@ -91,3 +91,36 @@ def test_no_module_imports_scipy():
     for path in modules:
         found = {m for m in imported_modules(path) if m == "scipy" or m.startswith("scipy.")}
         assert not found, f"{path.name} imports {sorted(found)}"
+
+
+def enclosing_scopes(path: Path, name: str) -> set[str]:
+    """Qualified names of the functions (or ``<module>``) whose own bodies call ``name``,
+    directly or as a module attribute."""
+    scopes = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                           getattr(child.func, "attr", None)):
+                scopes.add(f"{path.stem}.{scope}")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return scopes
+
+
+def test_the_profile_score_is_evaluated_in_one_place():
+    # Q is built for the M-step and for the profile point only; the chain rule
+    # from phi to its free scores stays behind ParamLayout.grad_to_opt
+    modules = sorted((SRC / "jointmix").glob("*.py"))
+    built = set().union(*(enclosing_scopes(path, "_CollapsedQ") for path in modules))
+    assert built == {"inference._profile_point", "em.m_step_theta"}
+    for path in modules:
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert ("_phi_chain" in names) == (path.name == "params.py"), path.name

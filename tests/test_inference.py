@@ -1,3 +1,4 @@
+import functools
 import gc
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jointmix.inference
 from jointmix import (ConstantBaseline, HazardSteps, InfoMatrix, ModelParams, OrdinalParams,
                       ParamLayout, SingularInformationError, StepDirection, SurvivalParams,
                       contraction_check, default_design, default_directions,
@@ -146,11 +148,6 @@ class TestStandardErrors:
 
 
 class TestInfoIdentity:
-    def test_step_bounds_enforced(self):
-        params, records, _ = dataset_and_gamma(5, n=5)
-        with pytest.raises(ValueError):
-            info_identity_check(records, params, step=0.5)
-
     def test_exact_parametric_toy(self):
         # no ordinal data, one group, delta=(0,0), no censoring: the efficient
         # information for delta1 is Var(X) * P(event) = 1 analytically
@@ -163,7 +160,7 @@ class TestInfoIdentity:
                              OrdinalParams(np.array([0.0, 0.0]), np.array([0.0, 1.0]),
                                            np.array([0.0])),
                              SurvivalParams(0.0, 0.0), np.array([1.0]))
-        report = info_identity_check(records, params, step=1e-3)
+        report = info_identity_check(records, params)
         layout = ParamLayout(1, 2, 1)
         k = layout.idx_d1
 
@@ -181,8 +178,8 @@ class TestInfoIdentity:
                                                n_levels=4, n_items=3)
         packed = PackedData.coerce(records, 4, 3)
         layout = ParamLayout(n_groups, 4, 3)
-        step = 1e-3
-        report = info_identity_check(packed, params, step=step)
+        step = jointmix.inference._IDENTITY_STEP
+        report = info_identity_check(packed, params)
 
         gamma_star, _ = fixed_point_posterior(packed, params)
         x0 = layout.pack(params)
@@ -205,7 +202,7 @@ class TestInfoIdentity:
         design = SimDesign(n=1500, params=design.params, n_time_points=3,
                            baseline=design.baseline, censoring=design.censoring, seed=23)
         records, _ = generate_dataset(design)
-        report = info_identity_check(records, design.params, step=1e-3)
+        report = info_identity_check(records, design.params)
         assert report.rel_frobenius_gap < 0.25
         assert np.all(np.isfinite(report.fd_jacobian))
 
@@ -387,10 +384,12 @@ class TestFixedPoint:
             np.testing.assert_allclose(getattr(tables, name), getattr(tables_ref, name),
                                        rtol=1e-12, atol=1e-15, err_msg=name)
 
-    def test_iteration_budget_exhausted_warns(self):
+    def test_iteration_budget_exhausted_warns(self, monkeypatch):
         params, records, _ = dataset_and_gamma(94, n=30)
+        monkeypatch.setattr(jointmix.inference, "_solve_fixed_point",
+                            functools.partial(jointmix.inference._solve_fixed_point, max_iter=1))
         with pytest.warns(RuntimeWarning, match="did not converge"):
-            gamma, _ = fixed_point_posterior(records, params, max_iter=1)
+            gamma, _ = fixed_point_posterior(records, params)
         packed = PackedData.coerce(records, 3, 2)
         gamma_ref, _ = fixed_point_oracle(packed, params, max_iter=1)
         np.testing.assert_allclose(gamma, gamma_ref, rtol=0, atol=1e-12)
