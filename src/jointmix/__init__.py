@@ -12,12 +12,11 @@ from .data import DataError, PackedData, ResponseSet, SubjectRecord, SurvivalRec
 from .em import (DegenerateSubjectError, EMConfig, FitResult, MStepError, Posterior,
                  e_step, em_fit, m_step_theta, relabel_ascending)
 from .inference import (ContractionCheck, DirectionStat, IdentityCheck, InfoMatrix,
-                        SingularInformationError, StepDirection, contraction_check,
-                        default_directions, efficient_score_equivalence,
-                        fixed_point_posterior, info_identity_check, information_matrix,
-                        mean_profile_score, orthogonality_check, score_matrix,
-                        standard_errors)
-from .ordinal import OrdinalParams, category_probs
+                        SingularInformationError, contraction_check, default_directions,
+                        efficient_score_equivalence, fixed_point_posterior,
+                        info_identity_check, information_matrix, mean_profile_score,
+                        orthogonality_check, score_matrix, standard_errors)
+from .ordinal import OrdinalParams
 from .params import ModelParams, ParamLayout
 from .simulation import (ConstantBaseline, ExponentialCensoring, MCReport, NoCensoring,
                          PiecewiseConstantBaseline, SimDesign, TwoPointCovariate,

@@ -27,7 +27,7 @@ _EQUIVALENCE_STEP = 1e-5
 # relative step of info_identity_check; the standard errors from its Jacobian
 # agree to four digits for steps from 1e-5 to 1e-2
 _IDENTITY_STEP = 1e-3
-# event-time quantiles of default_directions' indicator directions
+# event-time quantiles of default_directions' indicator cutoffs
 _DIRECTION_QUANTILES = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
@@ -134,7 +134,6 @@ class _FixedPoint(NamedTuple):
     """One fixed-point solve: see :func:`_solve_fixed_point`."""
 
     gamma: np.ndarray
-    hazard: tuple[np.ndarray, np.ndarray]
     loglik: float
     n_steps: int
     converged: bool
@@ -144,11 +143,11 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
                        max_iter: int = _FIXED_POINT_MAX_ITER) -> _FixedPoint:
     """Iterate responsibilities and the hazard profiled from them; builds no tables.
 
-    Returns the last step's responsibilities, read-only, the hazard
-    ``(jumps, cum)`` that step profiled, the observed log-likelihood at that
-    hazard, the number of steps taken and whether the last one moved no
-    responsibility by ``_FIXED_POINT_TOL``.  The responsibilities are the
-    posterior at the returned hazard, so the three describe one point exactly.
+    Returns the last step's responsibilities, read-only, the observed
+    log-likelihood at the hazard that step profiled, the number of steps
+    taken and whether the last one moved no responsibility by
+    ``_FIXED_POINT_TOL``.  The responsibilities are the posterior at that
+    hazard, so the two describe one point exactly.
 
     The ordinal log-likelihoods, d_i lp_ir, log pi_r and exp(lp_ir) do not
     change while the parameters are fixed, so they are formed once; each
@@ -177,7 +176,7 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
     ev = packed.event_counts > 0
     loglik += float(packed.event_counts[ev] @ np.log(jumps[ev]))
     gamma.flags.writeable = False             # RiskSetTables can then share it
-    return _FixedPoint(gamma, (jumps, cum), loglik, n_steps, converged)
+    return _FixedPoint(gamma, loglik, n_steps, converged)
 
 
 def fixed_point_posterior(data, params: ModelParams, gamma0: np.ndarray | None = None):
@@ -286,63 +285,19 @@ def info_identity_check(data, params: ModelParams) -> IdentityCheck:
     return IdentityCheck(jac, info.matrix, gap)
 
 
-@dataclass(frozen=True)
-class StepDirection:
-    """Piecewise-constant nuisance direction h on [0, inf).
+def default_directions(data) -> list[float]:
+    """Nuisance directions for :func:`orthogonality_check`, as cutoffs.
 
-    ``values[k]`` applies on the interval ``(breaks[k-1], breaks[k]]`` (with
-    breaks[-1] = 0 and an unbounded last piece), so ``len(values) ==
-    len(breaks) + 1``.
+    ``inf`` (the constant direction h = 1) followed by the event-time
+    quantiles ``_DIRECTION_QUANTILES``, each standing for the indicator
+    1[0, c].
     """
-
-    breaks: np.ndarray
-    values: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        breaks = np.atleast_1d(np.asarray(self.breaks, dtype=float))
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if breaks.size and np.any(np.diff(breaks) <= 0):
-            raise ValueError("breaks must be strictly increasing")
-        if values.size != breaks.size + 1:
-            raise ValueError("need exactly one value per interval (len(breaks) + 1)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("direction values must be finite and bounded")
-        object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "values", values)
-
-    def __call__(self, t):
-        idx = np.searchsorted(self.breaks, t, side="left")
-        return self.values[idx]
-
-    def integral(self, upper, baseline) -> np.ndarray:
-        """Exact integral of h dLambda over (0, upper], elementwise in ``upper``."""
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        edges = np.concatenate([[0.0], self.breaks])
-        total = np.zeros_like(upper)
-        for k, value in enumerate(self.values):
-            lo = np.minimum(edges[k], upper)
-            hi = upper if k + 1 == self.values.size else np.minimum(self.breaks[k], upper)
-            total += value * (np.asarray(baseline.cum(hi)) - np.asarray(baseline.cum(lo)))
-        return total
-
-
-def constant_direction(value: float = 1.0) -> StepDirection:
-    return StepDirection(np.empty(0), np.asarray([value]), name=f"constant {value:g}")
-
-
-def indicator_direction(cutoff: float) -> StepDirection:
-    return StepDirection(np.asarray([cutoff]), np.asarray([1.0, 0.0]), name=f"1[0, {cutoff:g}]")
-
-
-def default_directions(data) -> list[StepDirection]:
-    """Constant direction plus indicators at the event-time quantiles ``_DIRECTION_QUANTILES``."""
     packed = PackedData.coerce(data)
     event_times = packed.times[packed.events > 0]
     if event_times.size == 0:
         raise ValueError("no events in the dataset")
     cuts = np.quantile(event_times, _DIRECTION_QUANTILES)
-    return [constant_direction(1.0)] + [indicator_direction(float(c)) for c in cuts]
+    return [np.inf] + [float(c) for c in cuts]
 
 
 @dataclass(frozen=True)
@@ -370,11 +325,19 @@ def true_posterior(data, params: ModelParams, baseline) -> np.ndarray:
 def orthogonality_check(data, params: ModelParams, directions, baseline) -> list[DirectionStat]:
     """Empirical covariance between the efficient score and nuisance directions.
 
-    For each direction h, forms (Bh)_i = sum_r gamma_ir (d_i h(T_i) -
-    exp(lp_ir) Int_0^{T_i} h dLambda) against the true baseline and reports
-    the per-coordinate mean of score * Bh with its Monte Carlo standard
-    error; the means should vanish at the true parameters.
+    Each direction is a cutoff c >= 0 standing for the indicator
+    h = 1[0, c]; ``inf`` is the constant direction h = 1.  These span every
+    step direction: one taking v_k on (c_k, c_k+1], k = 0..K, with c_0 = 0
+    and c_K+1 = inf, is v_K + sum_{k<K} (v_k - v_k+1) 1[0, c_k+1], and Bh
+    is linear in h.  For each c, forms (Bh)_i = d_i 1[T_i <= c] - sum_r gamma_ir exp(lp_ir)
+    Lambda(min(T_i, c)) against the true baseline and reports the
+    per-coordinate mean of score * Bh with its Monte Carlo standard error;
+    the means should vanish at the true parameters.  The stats are named
+    "constant 1" for ``inf`` and "1[0, c]" otherwise.
     """
+    cutoffs = np.asarray(directions, dtype=float)
+    if not np.all(cutoffs >= 0):
+        raise ValueError("direction cutoffs must be nonnegative, not NaN")
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
     gamma = true_posterior(packed, params, baseline)
     tables = RiskSetTables(packed, gamma, params.theta, params.survival)
@@ -384,14 +347,16 @@ def orthogonality_check(data, params: ModelParams, directions, baseline) -> list
     lp = _survival.linear_predictors(params.theta, params.survival, packed.covariates)
     total_e = (gamma * np.exp(lp)) @ np.ones(params.n_groups)
     stats = []
-    for h in directions:
-        bh = packed.events * h(packed.times) - total_e * h.integral(packed.times, baseline)
+    for c in cutoffs:
+        cum = np.asarray(baseline.cum(np.minimum(packed.times, c)), dtype=float)
+        bh = packed.events * (packed.times <= c) - total_e * cum
         prod = scores * bh[:, None]
         mean = prod.mean(axis=0)
         se = prod.std(axis=0, ddof=1) / np.sqrt(packed.n)
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(se > 0, np.abs(mean) / se, np.where(mean == 0, 0.0, np.inf))
-        stats.append(DirectionStat(h.name, mean, se, float(ratio.max())))
+        name = "constant 1" if c == np.inf else f"1[0, {c:g}]"
+        stats.append(DirectionStat(name, mean, se, float(ratio.max())))
     return stats
 
 

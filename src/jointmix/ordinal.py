@@ -54,22 +54,6 @@ class OrdinalParams:
         return self.b.size
 
 
-def category_probs(item: int, group_effect: float, params: OrdinalParams) -> np.ndarray:
-    """Probability of each response level for one item at a given group effect.
-
-    Computed in log space with max subtraction, so large linear predictors do
-    not overflow.  The result is a strict probability vector of length L.
-    """
-    if not 1 <= item <= params.n_items:
-        raise IndexError(f"item must be in 1..{params.n_items}, got {item}")
-    if not np.isfinite(group_effect):
-        raise ValueError(f"group effect must be finite, got {group_effect!r}")
-    eta = params.a + params.phi * (params.b[item - 1] + group_effect)
-    eta = eta - eta.max()
-    p = np.exp(eta)
-    return p / p.sum()
-
-
 def _linear_predictor(a: np.ndarray, phi: np.ndarray, b: np.ndarray, theta: np.ndarray):
     """Tables eta[r, j, l] = a[l] + phi[l] (b[j] + theta[r]) and their row log-normalizers."""
     x = b[None, :] + theta[:, None]

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import ResponseSet, SubjectRecord, SurvivalRecord, _readonly
 from .em import _NUMERIC_ERRORS, EMConfig, em_fit
-from .ordinal import category_probs
+from .ordinal import _linear_predictor
 from .params import ModelParams, ParamLayout
 from .survival import linear_predictors
 
@@ -166,6 +166,12 @@ def generate_dataset(design: SimDesign, rng: np.random.Generator | None = None):
     indices (0-based), kept separate for diagnostics only.  Draw order is
     fixed (groups, covariates, ordinal responses, failure times, censoring
     times), so a fixed seed reproduces the dataset exactly.
+
+    The category probabilities come from the ordinal table kernel
+    ``ordinal._linear_predictor``, the one the likelihood, the scores and Q
+    use.  A response is 1 plus the number of the first L - 1 cumulative
+    probabilities its uniform draw exceeds, so it is at most L even when the
+    last cumulative probability rounds below 1.
     """
     if rng is None:
         rng = np.random.default_rng(design.seed)
@@ -179,11 +185,10 @@ def generate_dataset(design: SimDesign, rng: np.random.Generator | None = None):
     else:
         x = design.covariate.draw(rng, n)
 
-    probs = np.empty((R, J, L))
-    for r in range(R):
-        for j in range(J):
-            probs[r, j] = category_probs(j + 1, float(params.theta[r]), params.ordinal)
-    cum_probs = np.cumsum(probs, axis=2)
+    ordinal = params.ordinal
+    eta, logz = _linear_predictor(ordinal.a, ordinal.phi, ordinal.b, params.theta)
+    # only the first L - 1 thresholds: the last can round below 1
+    cum_probs = np.cumsum(np.exp(eta - logz[..., None]), axis=2)[:, :, :L - 1]
     u = rng.random((n, J, m_pts))
     levels = (u[:, :, :, None] > cum_probs[labels][:, :, None, :]).sum(axis=3) + 1
 
@@ -299,21 +304,14 @@ def mc_normality(design: SimDesign, replications: int, fit_config: EMConfig | No
     p = layout.n_free
     names = tuple(layout.names)
 
-    if replications == 0:
-        empty = np.empty((0, p))
-        nan = np.full(p, np.nan)
-        return MCReport(names, truth, nan, nan, nan, nan, nan, 0, 0, False,
-                        design.seed, empty, empty, np.empty(0, dtype=bool), ())
-
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_replication, [design] * replications,
                                     range(replications), [fit_config] * replications))
     else:
         results = [_run_replication(design, rep, fit_config) for rep in range(replications)]
-    results.sort(key=lambda rec: rec["rep"])
 
-    ok = np.array([rec["ok"] for rec in results])
+    ok = np.array([rec["ok"] for rec in results], dtype=bool)
     estimates = np.full((replications, p), np.nan)
     ses = np.full((replications, p), np.nan)
     for rec in results:

@@ -6,6 +6,10 @@ and the observed log-likelihood.  The functions here compute the same
 quantities the slow, direct way, one subject or one time at a time, so the
 tests can check the packed kernels against an independent evaluation.  No
 package code path calls them.
+
+``category_probs`` is the per-point reference for the ordinal table kernel:
+one item's level probabilities at one group effect, normalized by its own
+maximum rather than by ``ordinal._linear_predictor``'s log-normalizer.
 """
 
 from __future__ import annotations
@@ -144,6 +148,22 @@ def efficient_score_survival(rec: SurvivalRecord, gamma_row: np.ndarray, baselin
 
 
 # ------------------------------------------------------------ ordinal
+
+def category_probs(item: int, group_effect: float, params: OrdinalParams) -> np.ndarray:
+    """Probability of each response level for one item at a given group effect.
+
+    Computed in log space with max subtraction, so large linear predictors do
+    not overflow.  The result is a strict probability vector of length L.
+    """
+    if not 1 <= item <= params.n_items:
+        raise IndexError(f"item must be in 1..{params.n_items}, got {item}")
+    if not np.isfinite(group_effect):
+        raise ValueError(f"group effect must be finite, got {group_effect!r}")
+    eta = params.a + params.phi * (params.b[item - 1] + group_effect)
+    eta = eta - eta.max()
+    p = np.exp(eta)
+    return p / p.sum()
+
 
 def ordinal_loglik(responses: ResponseSet, group_effect: float, params: OrdinalParams) -> float:
     """Log-likelihood of one subject's responses for a single group effect.

@@ -56,8 +56,8 @@ def test_no_module_imports_a_name_it_never_reads():
 
 ORACLES = {"cum_hazard", "risk_set_tables", "risk_aggregates", "profile_hazard", "survival_loglik",
            "survival_profile_score", "efficient_score_survival", "_record_sums", "time_slot",
-           "matches", "ordinal_loglik", "ordinal_score", "profile_score_obs", "m_step_pi",
-           "observed_loglik"}
+           "matches", "category_probs", "ordinal_loglik", "ordinal_score", "profile_score_obs",
+           "m_step_pi", "observed_loglik"}
 
 
 def test_per_record_oracles_live_only_in_the_tests():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import jointmix.inference
 from jointmix import (ConstantBaseline, HazardSteps, InfoMatrix, ModelParams, OrdinalParams,
-                      ParamLayout, SingularInformationError, StepDirection, SurvivalParams,
+                      ParamLayout, SingularInformationError, SurvivalParams,
                       contraction_check, default_design, default_directions,
                       efficient_score_equivalence, em_fit, fixed_point_posterior, generate_dataset,
                       info_identity_check, information_matrix, mean_profile_score,
@@ -209,12 +209,45 @@ class TestInfoIdentity:
 
 class TestOrthogonality:
     def test_zero_direction_exactly_zero(self):
+        # a cutoff below every time: 1[T <= 0] = 0 and Lambda(min(T, 0)) = 0
         design = default_design(n=200, seed=29)
         records, _ = generate_dataset(design)
-        zero = StepDirection(np.empty(0), np.array([0.0]), name="zero")
-        stats = orthogonality_check(records, design.params, [zero], design.baseline)
+        assert min(r.survival.time for r in records) > 0.0
+        stats = orthogonality_check(records, design.params, [0.0], design.baseline)
+        assert stats[0].name == "1[0, 0]"
         np.testing.assert_array_equal(stats[0].mean, 0.0)
         assert stats[0].max_abs_ratio == 0.0
+
+    def test_cutoff_past_the_last_time_is_the_constant_direction(self):
+        design = default_design(n=200, seed=30)
+        packed = PackedData(generate_dataset(design)[0], 3, 2)
+        t_max = float(packed.times.max())
+        stats = orthogonality_check(packed, design.params, [np.inf, t_max, 2.0 * t_max],
+                                    design.baseline)
+        assert [st.name for st in stats] == ["constant 1", f"1[0, {t_max:g}]",
+                                             f"1[0, {2.0 * t_max:g}]"]
+        for st in stats[1:]:
+            np.testing.assert_array_equal(st.mean, stats[0].mean)
+            np.testing.assert_array_equal(st.std_error, stats[0].std_error)
+            assert st.max_abs_ratio == stats[0].max_abs_ratio
+
+    @pytest.mark.parametrize("cutoff", [np.nan, -1.0])
+    def test_invalid_cutoff_rejected(self, cutoff):
+        design = default_design(n=60, seed=31)
+        records, _ = generate_dataset(design)
+        with pytest.raises(ValueError, match="cutoff"):
+            orthogonality_check(records, design.params, [1.0, cutoff], design.baseline)
+
+    def test_default_directions_are_constant_then_event_quantiles(self):
+        design = default_design(n=200, seed=32)
+        packed = PackedData(generate_dataset(design)[0], 3, 2)
+        cuts = default_directions(packed)
+        event_times = packed.times[packed.events > 0]
+        assert cuts[0] == np.inf
+        np.testing.assert_array_equal(
+            cuts[1:], np.quantile(event_times, jointmix.inference._DIRECTION_QUANTILES))
+        stats = orthogonality_check(packed, design.params, cuts, design.baseline)
+        assert [st.name for st in stats] == ["constant 1"] + [f"1[0, {c:g}]" for c in cuts[1:]]
 
     def test_martingale_direction_single_group(self):
         # R=1, delta=(0,0), h == 1: Bh = d - Lambda(T)
@@ -233,18 +266,6 @@ class TestOrthogonality:
                                     design.baseline)
         for st in stats:
             assert st.max_abs_ratio <= 3.0, st.name
-
-    def test_direction_validation(self):
-        with pytest.raises(ValueError):
-            StepDirection(np.array([2.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            StepDirection(np.array([1.0]), np.array([1.0]))
-
-    def test_indicator_integral_exact(self):
-        base = ConstantBaseline(0.5)
-        ind = StepDirection(np.array([2.0]), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(ind.integral(np.array([1.0, 2.0, 5.0]), base),
-                                   [0.5, 1.0, 1.0])
 
 
 class TestEquivalence:

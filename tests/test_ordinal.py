@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from jointmix import OrdinalParams, category_probs
+from jointmix import OrdinalParams
 from jointmix.data import DataError
 from jointmix.ordinal import _linear_predictor
 
 from conftest import make_responses, random_params
-from oracles import ordinal_loglik, ordinal_score
+from oracles import category_probs, ordinal_loglik, ordinal_score
 
 
 def params_l3():

@@ -6,8 +6,38 @@ from scipy import stats
 
 import jointmix.simulation
 from jointmix import (ConstantBaseline, EMConfig, ModelParams, NoCensoring, OrdinalParams,
-                      PiecewiseConstantBaseline, SimDesign, SurvivalParams, TwoPointCovariate,
-                      UniformCensoring, default_design, generate_dataset, mc_normality)
+                      PackedData, PiecewiseConstantBaseline, SimDesign, SurvivalParams,
+                      TwoPointCovariate, UniformCensoring, default_design, generate_dataset,
+                      mc_normality)
+
+from oracles import category_probs
+
+
+def wide_design(n: int, seed: int = 0) -> SimDesign:
+    """R=3, L=5, J=4 and M=4 visits; baseline and censoring as in default_design."""
+    params = ModelParams(
+        theta=np.array([0.0, 0.8, 1.6]),
+        ordinal=OrdinalParams(a=np.array([0.0, 0.3, 0.1, -0.2, -0.5]),
+                              phi=np.array([0.0, 0.3, 0.55, 0.8, 1.0]),
+                              b=np.array([0.0, 0.4, -0.3, 0.2])),
+        survival=SurvivalParams(0.5, -0.5),
+        pi=np.array([0.3, 0.4, 0.3]),
+    )
+    return SimDesign(n=n, params=params, n_time_points=4, baseline=ConstantBaseline(0.1),
+                     censoring=UniformCensoring(32.0), seed=seed)
+
+
+class UniformsAt:
+    """A generator that draws every uniform at ``value`` and the rest as ``rng`` does."""
+
+    def __init__(self, rng: np.random.Generator, value: float):
+        self.rng, self.value = rng, value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 def serialize(records, labels):
@@ -85,7 +115,6 @@ class TestGenerateDataset:
         assert 0.15 < 1 - events.mean() < 0.40
 
     def test_levels_follow_category_probs(self):
-        from jointmix import category_probs
         design = default_design(n=6000, seed=4)
         records, labels = generate_dataset(design)
         params = design.params
@@ -101,6 +130,35 @@ class TestGenerateDataset:
         freq = level_counts / level_counts.sum()
         expected = category_probs(item, float(params.theta[1]), params.ordinal)
         np.testing.assert_allclose(freq, expected, atol=0.02)
+
+    @pytest.mark.parametrize("design", [default_design(n=300, seed=16), wide_design(300, seed=17)],
+                             ids=["default", "wide"])
+    def test_levels_match_a_per_point_draw(self, design):
+        # the same uniforms, thresholded one (subject, item, visit) at a time
+        records, labels = generate_dataset(design)
+        params = design.params
+        rng = np.random.default_rng(design.seed)
+        rng.choice(params.n_groups, size=design.n, p=params.pi)
+        rng.standard_normal(design.n)
+        u = rng.random((design.n, params.n_items, design.n_time_points))
+        for i, rec in enumerate(records):
+            expected = []
+            for j in range(params.n_items):
+                cum = np.cumsum(category_probs(j + 1, float(params.theta[labels[i]]),
+                                               params.ordinal))
+                expected += [1 + int(np.sum(u[i, j, m] > cum[:-1]))
+                             for m in range(design.n_time_points)]
+            assert rec.responses.levels.tolist() == expected, i
+
+    def test_uniform_just_below_one_draws_the_top_level(self):
+        # some cumulative rows of this design end at 1 - 2^-52; u = 1 - 2^-53 exceeds them
+        design = wide_design(50, seed=18)
+        rng = UniformsAt(np.random.default_rng(design.seed), np.nextafter(1.0, 0.0))
+        records, _ = generate_dataset(design, rng)
+        L = design.params.n_levels
+        assert all(rec.responses.levels.tolist() == [L] * rec.responses.n_cells
+                   for rec in records)
+        PackedData(records, L, design.params.n_items)
 
     def test_two_point_covariate(self):
         design = default_design(n=500, seed=6)
@@ -131,6 +189,8 @@ class TestMcNormality:
         assert report.n_replications == 0
         assert report.n_failures == 0
         assert report.estimates.shape[0] == 0
+        assert report.rep_converged.shape == (0,) and report.rep_errors == ()
+        assert not report.failure_flag and np.isnan(report.coverage).all()
 
     def test_determinism(self):
         design = default_design(n=60, seed=9)
