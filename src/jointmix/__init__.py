@@ -8,6 +8,8 @@ quasi-Newton ascent from an EM step; standard errors come from the
 empirical efficient information.
 """
 
+from types import ModuleType as _ModuleType
+
 from .data import DataError, PackedData, ResponseSet, SubjectRecord, SurvivalRecord
 from .em import (DegenerateSubjectError, EMConfig, FitResult, MStepError, Posterior,
                  e_step, em_fit, m_step_theta, relabel_ascending)
@@ -26,4 +28,6 @@ from .survival import (EmptyRiskSetError, HazardSteps, InvalidHazardError, RiskS
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here by the imports above; they are not exports
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -2,7 +2,8 @@
 
 Data files are flat CSV (long-format ordinal responses, one-row-per-subject
 survival).  Results, designs and parameter files are JSON documents; every
-flag has a config-file equivalent and flags override the file.  Exit codes:
+flag has a config-file equivalent, flags override the file, and a config key
+that no subcommand accepts is an input error.  Exit codes:
 0 success, 1 input error, 2 non-convergence, 3 internal numeric failure.
 """
 
@@ -315,6 +316,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    if args.threads < 1:
+        raise DataError(f"--threads must be >= 1, got {args.threads}")
     doc = load_json(args.design)
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -455,12 +458,19 @@ def main(argv=None) -> int:
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
     if known.config:
+        subparsers = parser._jointmix_subparsers.values()
+        accepted = {a.dest for sp in subparsers for a in sp._actions} - {"help"}
         try:
             defaults = load_json(known.config)
+            if not isinstance(defaults, dict):
+                raise DataError(f"{known.config}: a config file holds one JSON object")
+            unknown = sorted(set(defaults) - accepted)
+            if unknown:
+                raise DataError(f"{known.config}: no subcommand accepts the keys {unknown}")
         except DataError as err:
             print(f"input error: {err}", file=sys.stderr)
             return EXIT_INPUT
-        for subparser in parser._jointmix_subparsers.values():
+        for subparser in subparsers:
             dests = {a.dest for a in subparser._actions}
             subparser.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
     try:

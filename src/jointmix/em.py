@@ -19,22 +19,24 @@ Each restart takes one plain EM step first (one fixed-point step from the
 prior weights, then :func:`m_step_theta` with pi set to the responsibility
 column means), which moves a random start into a better basin, and then runs
 BFGS with Armijo backtracking (:func:`_bfgs`) on -pl(z) / n, warm-starting
-every fixed-point solve from the previous evaluation's responsibilities.  The BFGS inverse
-Hessian starts from inv(S'S / n), the inverse outer product of the
-per-subject profile scores S in z at the first evaluation
+every fixed-point solve from the previous evaluation's responsibilities.  The
+BFGS inverse Hessian starts from inv(S'S / n), the inverse outer product of
+the per-subject profile scores S in z at the first evaluation
 (:meth:`_ProfileObjective.inverse_opg`; Berndt, Hall, Hall & Hausman 1974),
 which estimates the curvature of -pl / n without a further fixed-point
-solve; where S'S is singular it starts from the identity.  An evaluation whose
-fixed point does not converge, that meets an empty risk set, or whose
+solve; where S'S is singular it starts from the identity.  An evaluation
+whose fixed point does not converge, that meets an empty risk set, or whose
 weights, hazard jumps or subject densities over- or underflow returns +inf,
-so the line search backs off.
-The accepted iterates raise pl strictly, so the recorded log-likelihood trace
-is nondecreasing.
+so the line search backs off.  The accepted iterates raise pl strictly, so
+the recorded log-likelihood trace is nondecreasing.  :func:`_fit_restart`
+is one loop over the iterates :func:`_bfgs` yields, with the tolerance
+rule, the collapse check and the trace in its body.  A typed numeric failure
+(``_NUMERIC_ERRORS``) ends the restart as "aborted: <type>: <message>" at
+its last accepted point; the other restarts still run.
 
-The EM building blocks :func:`e_step` and :func:`m_step_theta` stay
-public.  The likelihood core and the collapsed M-step objective live in
-:mod:`likelihood`, the risk-set sums, Breslow jumps, survival
-log-likelihood and its profiled gradient in :mod:`data` and
+The EM building blocks :func:`e_step` and :func:`m_step_theta` stay public;
+the likelihood core and the collapsed M-step objective live in
+:mod:`likelihood`, the risk-set sums in :mod:`data`, the survival kernels in
 :mod:`survival`.
 """
 
@@ -131,6 +133,8 @@ class FitResult:
     responsibilities are not stored: :attr:`posterior` is the E-step at
     ``(params, hazard)`` on ``packed``, computed on first read and then kept,
     so a fit that is only kept for its parameters holds no (n, R) array.
+    ``diagnostics`` says why a fit is not converged, e.g. "no converged restart;
+    best status: aborted: <type>: <message>", and notes singular information.
     """
 
     params: ModelParams
@@ -164,29 +168,27 @@ def e_step(data, params: ModelParams, hazard) -> Posterior:
 
 # ------------------------------------------------------------ M-step and BFGS
 
-def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int, max_eval: float = np.inf,
-          accept=None, h0=None):
+def _bfgs(fun, x0: np.ndarray, max_eval: float = np.inf, h0=None):
     """Minimize ``fun`` (value and gradient) by BFGS with Armijo backtracking.
 
-    Calls ``fun`` at most ``max_eval`` times, the start included, and passes
-    the start and every accepted iterate to ``accept(x, f)``, which ends the
-    search by returning True.  The inverse Hessian starts from ``h0()``,
-    called once after a finite first evaluation, or from the identity when
-    ``h0`` is omitted or returns None; only the identity is rescaled after
-    the first step.  Returns the start or the last accepted ``(x, f, g)``.
+    Yields ``(x, f, g)`` at the start and after every accepted step, and
+    stops after a non-finite start (yielding nothing), a failed line search,
+    or once ``fun`` has been called ``max_eval`` times; the caller's loop
+    holds the stopping rule.  The inverse Hessian starts from ``h0()``, called
+    once after the start is yielded, or from the identity when ``h0`` is
+    omitted or returns None; only the identity is rescaled after the first step.
     """
     x = np.asarray(x0, dtype=float)
     f, g = fun(x)
     n_eval = 1
-    if not np.isfinite(f) or (accept is not None and accept(x, f)):
-        return x, f, g
+    if not np.isfinite(f):
+        return
+    yield x, f, g
     h = None if h0 is None else h0()
     fresh = h is None
     if fresh:
         h = np.eye(x.size)
-    for _ in range(max_iter):
-        if np.max(np.abs(g)) <= gtol:
-            break
+    while True:
         d = -h @ g
         slope = float(d @ g)
         if slope >= 0:
@@ -195,19 +197,17 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int, max_eval: float = np.
             d = -g
             slope = -float(g @ g)
         step = 1.0
-        accepted = False
         for _ in range(40):
             if n_eval >= max_eval:
-                break
+                return
             x_new = x + step * d
             f_new, g_new = fun(x_new)
             n_eval += 1
             if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            break
+        else:
+            return
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
@@ -219,9 +219,7 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int, max_eval: float = np.
             h = (h + ((sy + float(yv @ hy)) / sy ** 2) * np.outer(s, s)
                  - (np.outer(hy, s) + np.outer(s, hy)) / sy)
         x, f, g = x_new, f_new, g_new
-        if accept is not None and accept(x, f):
-            break
-    return x, f, g
+        yield x, f, g
 
 
 def m_step_theta(data, posterior, params: ModelParams) -> ModelParams:
@@ -251,8 +249,11 @@ def m_step_theta(data, posterior, params: ModelParams) -> ModelParams:
             return np.inf, np.zeros(layout.n_free)
         return -value * scale, -layout.grad_to_opt(grad, y[layout.sl_phi]) * scale
 
-    y, f, _ = _bfgs(neg_q, layout.pack_opt(params), _INNER_GTOL, _M_STEP_MAX_ITER)
-    if not np.isfinite(f):
+    y = None
+    for k, (y, _, g) in enumerate(_bfgs(neg_q, layout.pack_opt(params))):
+        if k == _M_STEP_MAX_ITER or np.max(np.abs(g)) <= _INNER_GTOL:
+            break
+    if y is None:
         raise MStepError("objective is not finite at the entry point", params)
     return layout.unpack_opt(y, params.pi)
 
@@ -363,64 +364,70 @@ def _collapsed(gamma: np.ndarray, pi: np.ndarray) -> bool:
     return bool((np.ones(gamma.shape[0]) @ gamma).min() < _COLLAPSE_MASS or pi.min() < _COLLAPSE_PI)
 
 
-def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig):
+@dataclass(frozen=True)
+class RestartRecord:
+    """A restart's last accepted point with its fixed-point responsibilities.
+
+    ``trace`` is the log-likelihood after the opening EM step and at every
+    accepted iterate, ``n_iter`` the evaluations spent; a typed numeric
+    failure (``_NUMERIC_ERRORS``) has ``status`` "aborted: <type>: <message>".
+    """
+
+    params: ModelParams
+    gamma: np.ndarray
+    trace: np.ndarray
+    n_iter: int
+    status: str
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
+
+
+def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig) -> RestartRecord:
     """One restart from ``params``: an EM step, then BFGS ascent of pl (see the module docstring).
 
-    Returns the last accepted point with its fixed-point responsibilities.
+    Stops at the first accepted iterate that meets the tolerance rule or
+    collapses, when the ascent stops, or at a typed numeric failure.
     """
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
+    gamma, trace, n_iter, objective = np.tile(params.pi, (packed.n, 1)), [-np.inf], 0, None
     try:   # the opening E-step is one fixed-point step from the prior weights
         first = _inference._solve_fixed_point(packed, params, None, max_iter=1)
-    except DegenerateSubjectError:
-        return {"params": params, "gamma": np.tile(params.pi, (packed.n, 1)), "trace": [-np.inf],
-                "converged": False, "n_iter": 0, "status": "non-finite start"}
-    gamma = first.gamma
-    result = {"params": params, "gamma": gamma, "trace": [first.loglik], "converged": False,
-              "n_iter": 0, "status": "non-finite profile likelihood at start"}
-    start = params
-    if config.max_iter > 1:
-        result["n_iter"] = 1
-        pi = (np.ones(packed.n) @ gamma) / packed.n
-        if _collapsed(gamma, pi):
-            result["status"] = "component collapse"
-            return result
-        try:
+        gamma, trace, start = first.gamma, [first.loglik], params
+        if config.max_iter > 1:
+            n_iter = 1
+            pi = (np.ones(packed.n) @ gamma) / packed.n
+            if _collapsed(gamma, pi):
+                return RestartRecord(params, gamma, np.asarray(trace), n_iter, "component collapse")
             start = m_step_theta(packed, gamma, ModelParams(
                 params.theta, params.ordinal, params.survival, pi))
-        except MStepError:
-            result["status"] = "m-step failure"
-            return result
-
-    objective = _ProfileObjective(packed, layout, gamma)
-    previous = None
-
-    def accept(z, f):
-        """Record an accepted iterate; True once the tolerance rule holds or a group collapses."""
-        nonlocal previous
-        _, params, ll = objective.last
-        natural = np.concatenate([layout.pack(params), params.pi])
-        done = (previous is not None
-                and abs(ll - previous[0]) / max(1.0, abs(previous[0])) < config.tol_loglik
-                and np.max(np.abs(natural - previous[1])) < config.tol_param)
-        previous = ll, natural
-        result.update(params=params, gamma=objective.gamma)
-        result["trace"].append(ll)
-        if _collapsed(objective.gamma, params.pi):
-            result["status"] = "component collapse"
-            return True
-        if done:
-            result["status"] = "converged"
-        return done
-
-    log_pi = np.log(start.pi)
-    z0 = np.concatenate([layout.pack_opt(start), log_pi[1:] - log_pi[0]])
-    budget = config.max_iter - result["n_iter"]
-    _bfgs(objective, z0, 0.0, budget, max_eval=budget, accept=accept, h0=objective.inverse_opg)
-    result["n_iter"] += objective.n_eval
-    if previous is not None and result["status"] not in ("converged", "component collapse"):
-        result["status"] = "max_iter" if objective.n_eval >= budget else "line search failure"
-    result["converged"] = result["status"] == "converged"
-    return result
+        objective = _ProfileObjective(packed, layout, gamma)
+        log_pi = np.log(start.pi)
+        z0 = np.concatenate([layout.pack_opt(start), log_pi[1:] - log_pi[0]])
+        budget = config.max_iter - n_iter
+        previous = None
+        for _ in _bfgs(objective, z0, budget, objective.inverse_opg):
+            _, params, ll = objective.last
+            gamma = objective.gamma
+            trace.append(ll)
+            natural = np.concatenate([layout.pack(params), params.pi])
+            if _collapsed(gamma, params.pi):
+                status = "component collapse"
+                break
+            if (previous is not None
+                    and abs(ll - previous[0]) / max(1.0, abs(previous[0])) < config.tol_loglik
+                    and np.max(np.abs(natural - previous[1])) < config.tol_param):
+                status = "converged"
+                break
+            previous = ll, natural
+        else:
+            status = ("non-finite profile likelihood at start" if previous is None
+                      else "max_iter" if objective.n_eval >= budget else "line search failure")
+    except _NUMERIC_ERRORS as err:
+        status = f"aborted: {type(err).__name__}: {err}"
+    n_iter += objective.n_eval if objective else 0
+    return RestartRecord(params, gamma, np.asarray(trace), n_iter, status)
 
 
 def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams | None = None,
@@ -434,7 +441,8 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
     line search can make no progress, or ``config.max_iter`` evaluations
     are spent.  A restart stops, and does not count as converged, as soon as
     the smallest weight or responsibility mass of an accepted iterate falls
-    below the collapse thresholds.
+    below the collapse thresholds, or at a typed numeric failure, which it
+    records as "aborted: <type>: <message>" at its last accepted point.
 
     Parameters
     ----------
@@ -473,34 +481,25 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
     if init is not None:
         if init.n_groups != n_groups:
             raise ValueError("init has a different number of groups")
-        n_levels = init.n_levels
-        n_items = init.n_items
+        n_levels, n_items = init.n_levels, init.n_items
     packed = PackedData.coerce(data, n_levels, n_items)
-    candidates = []
+    restarts = []
     for s in range(config.n_restarts):
         if s == 0 and init is not None:
             params0 = init
         else:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(s,)))
             params0 = draw_initial_params(rng, n_groups, packed.n_levels, packed.n_items)
-        try:
-            candidates.append(_fit_restart(packed, params0, config))
-        except (FloatingPointError, _survival.EmptyRiskSetError) as err:
-            candidates.append({"params": params0, "gamma": np.tile(params0.pi, (packed.n, 1)),
-                               "trace": [-np.inf], "converged": False,
-                               "n_iter": 0, "status": f"aborted: {err}"})
-    best = max(candidates, key=lambda c: (c["converged"], c["trace"][-1]))
-    diagnostics = []
-    if not best["converged"]:
-        diagnostics.append(f"no converged restart; best status: {best['status']}")
+        restarts.append(_fit_restart(packed, params0, config))
+    best = max(restarts, key=lambda r: (r.converged, r.trace[-1]))
+    diagnostics = [] if best.converged else [f"no converged restart; best status: {best.status}"]
 
-    params, gamma = best["params"], best["gamma"]
-    params, _, gamma = relabel_ascending(params, None, gamma)
+    params, _, gamma = relabel_ascending(best.params, None, best.gamma)
     tables = RiskSetTables(packed, gamma, params.theta, params.survival)
 
     scores = _inference.score_matrix(packed, params, gamma, tables)
     pi_score = (np.ones(packed.n) @ gamma) / packed.n - params.pi
-    converged = best["converged"]
+    converged = best.converged
     if converged and max(np.max(np.abs(scores.mean(axis=0))),
                          np.max(np.abs(pi_score))) > _FIRST_ORDER_TOL:
         converged = False
@@ -518,11 +517,11 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
     return FitResult(
         params=params,
         hazard=tables.hazard_steps(),
-        loglik_trace=np.asarray(best["trace"]),
+        loglik_trace=best.trace,
         std_errors=std_errors,
         info_matrix=info.matrix,
         converged=converged,
-        n_iter=best["n_iter"],
+        n_iter=best.n_iter,
         param_names=tuple(layout.names),
         info_condition=info.condition,
         packed=packed,

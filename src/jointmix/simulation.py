@@ -223,8 +223,8 @@ class MCReport:
     """Per-parameter Monte Carlo summary of repeated simulate-and-fit runs.
 
     ``rep_errors`` holds one string per replication: why it failed ("not
-    converged", or the numeric error as "TypeName: message"), or "" when it
-    converged.
+    converged: " and the fit's diagnostics, or a numeric error raised by the
+    fit as "TypeName: message"), or "" when it converged.
     """
 
     param_names: tuple[str, ...]
@@ -277,8 +277,9 @@ def _run_replication(design: SimDesign, rep: int, config: EMConfig):
     except _NUMERIC_ERRORS as err:  # a numeric fit failure is recorded, not fatal
         return {"rep": rep, "ok": False, "error": f"{type(err).__name__}: {err}"}
     layout = ParamLayout(design.params.n_groups, design.params.n_levels, design.params.n_items)
+    error = "" if fit.converged else "not converged: " + "; ".join(fit.diagnostics)
     return {"rep": rep, "ok": bool(fit.converged), "estimates": layout.pack(fit.params),
-            "std_errors": fit.std_errors, "error": "" if fit.converged else "not converged"}
+            "std_errors": fit.std_errors, "error": error}
 
 
 def mc_normality(design: SimDesign, replications: int, fit_config: EMConfig | None = None,
@@ -291,10 +292,14 @@ def mc_normality(design: SimDesign, replications: int, fit_config: EMConfig | No
     converged replications.  Numeric fit failures (``em._NUMERIC_ERRORS``) are
     recorded with their reason in ``rep_errors``, not fatal, and any other
     exception propagates; the report is flagged when failures exceed 10%.
-    Deterministic for fixed (design, seed, replications).
+    Replications run in a pool of ``min(threads, replications)`` processes,
+    or serially when that is 1.  Deterministic for fixed (design, seed,
+    replications), whatever ``threads``.
     """
     if replications < 0:
         raise ValueError("replications must be >= 0")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if fit_config is None:
         fit_config = EMConfig(n_restarts=2)
     layout = ParamLayout(design.params.n_groups, design.params.n_levels, design.params.n_items)
@@ -304,8 +309,9 @@ def mc_normality(design: SimDesign, replications: int, fit_config: EMConfig | No
     p = layout.n_free
     names = tuple(layout.names)
 
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, replications)   # a fork pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_replication, [design] * replications,
                                     range(replications), [fit_config] * replications))
     else:

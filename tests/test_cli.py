@@ -121,6 +121,25 @@ class TestFit:
                      "--out", str(tmp_path / "out2")])
         assert code == 0  # explicit flag overrides the config file
 
+    @pytest.mark.parametrize("doc", [{"restart": 1, "max_iters": 3}, {"restarts": 1, "max_iters": 3}])
+    def test_config_keys_no_subcommand_accepts_exit_1(self, sim_dir, tmp_path, capsys, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code = main(["--config", str(config), "fit", str(sim_dir / "ordinal.csv"),
+                     str(sim_dir / "survival.csv"), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert "max_iters" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_keys_of_another_subcommand_are_allowed(self, sim_dir, tmp_path):
+        # threads and replications belong to mc; fit ignores them
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_iter": 1, "restarts": 1, "threads": 2,
+                                      "replications": 3}))
+        code = main(["--config", str(config), "fit", str(sim_dir / "ordinal.csv"),
+                     str(sim_dir / "survival.csv"), "--out", str(tmp_path / "out")])
+        assert code == 2
+
 
 class TestMc:
     def test_mc_writes_report_and_is_deterministic(self, tmp_path):
@@ -136,6 +155,14 @@ class TestMc:
         assert len(reps) == 3
         assert reps[0].split(",")[:3] == ["replication", "converged", "error"]
         assert len(report["rep_errors"]) == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_1_exit_1(self, tmp_path, threads):
+        design = write_design(tmp_path, n=50)
+        code = main(["mc", str(design), "--replications", "2", "--threads", threads,
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert not (tmp_path / "out").exists()
 
 
 class TestCheck:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import math
@@ -8,9 +9,9 @@ import pytest
 
 import jointmix.em
 import jointmix.inference
-from jointmix import (EMConfig, ModelParams, MStepError, OrdinalParams, ParamLayout, Posterior,
-                      SurvivalParams, e_step, em_fit, fixed_point_posterior, m_step_theta,
-                      relabel_ascending)
+from jointmix import (EMConfig, EmptyRiskSetError, ModelParams, MStepError, OrdinalParams,
+                      ParamLayout, Posterior, SurvivalParams, e_step, em_fit,
+                      fixed_point_posterior, m_step_theta, relabel_ascending)
 from jointmix.data import PackedData
 from jointmix.em import _bfgs, _ProfileObjective
 from jointmix.likelihood import _CollapsedQ
@@ -373,16 +374,65 @@ class TestEmFit:
         fit_restart = jointmix.em._fit_restart
 
         def shifted(packed, params, config):
-            result = fit_restart(packed, params, config)
-            p = result["params"]
+            record = fit_restart(packed, params, config)
+            p = record.params
             pi = p.pi + shift * np.array([1.0, -1.0])
-            result["params"] = ModelParams(p.theta, p.ordinal, p.survival, pi)
-            return result
+            return dataclasses.replace(record, params=ModelParams(p.theta, p.ordinal, p.survival, pi))
 
         monkeypatch.setattr(jointmix.em, "_fit_restart", shifted)
         moved = em_fit(records, 2, EMConfig(n_restarts=2, max_iter=4000, seed=5))
         assert fit.converged and not moved.converged
         assert "first-order condition not met at exit" in moved.diagnostics
+
+    def test_an_aborted_restart_keeps_its_last_accepted_point(self, converged_fit, monkeypatch):
+        # the BFGS start fails after the ascent's first evaluation: the restart reports
+        # that point, with the opening EM step and that evaluation in its trace
+        _, records, _ = converged_fit
+
+        def fail(objective):
+            raise EmptyRiskSetError("no subject at risk")
+
+        monkeypatch.setattr(_ProfileObjective, "inverse_opg", fail)
+        fit = em_fit(records, 2, EMConfig(n_restarts=1, max_iter=4000, seed=5))
+        assert not fit.converged and fit.n_iter == 2
+        assert fit.diagnostics[0] == ("no converged restart; best status: "
+                                      "aborted: EmptyRiskSetError: no subject at risk")
+        assert fit.loglik_trace.size == 2 and fit.loglik_trace[1] > fit.loglik_trace[0] > -np.inf
+        packed = PackedData(records, 3, 2)
+        _, tables = fixed_point_posterior(packed, fit.params)
+        assert observed_loglik(packed, fit.params, tables) == pytest.approx(fit.loglik, rel=1e-12)
+
+    def test_a_numeric_failure_in_one_restart_leaves_the_others(self, converged_fit, monkeypatch):
+        # the shared fit's best restart is its second, so aborting the first changes nothing
+        _, records, fit = converged_fit
+        calls = []
+        inverse_opg = _ProfileObjective.inverse_opg
+
+        def fail_first(objective):
+            calls.append(objective)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inverse_opg(objective)
+
+        monkeypatch.setattr(_ProfileObjective, "inverse_opg", fail_first)
+        refit = em_fit(records, 2, EMConfig(n_restarts=2, max_iter=4000, seed=5))
+        assert len(calls) == 2 and refit.converged
+        assert refit.n_iter == fit.n_iter and refit.loglik == fit.loglik
+        layout = ParamLayout(2, 3, 2)
+        np.testing.assert_array_equal(layout.pack(refit.params), layout.pack(fit.params))
+
+    def test_an_m_step_failure_aborts_at_the_opening_e_step(self, monkeypatch):
+        packed = PackedData(generate_dataset(default_design(n=120, seed=4))[0], 3, 2)
+        params = two_group_params()
+
+        def fail(packed, gamma, params):
+            raise MStepError("objective is not finite at the entry point", params)
+
+        monkeypatch.setattr(jointmix.em, "m_step_theta", fail)
+        record = jointmix.em._fit_restart(packed, params, EMConfig())
+        assert record.status == "aborted: MStepError: objective is not finite at the entry point"
+        assert not record.converged
+        assert record.params is params and record.n_iter == 1 and record.trace.size == 1
 
     def test_max_iter_bounds_evaluations(self):
         design = default_design(n=120, seed=4)
@@ -554,11 +604,36 @@ class TestInnerOptimizer:
         def fun(x):
             return 0.5 * x @ a @ x - b @ x, a @ x - b
 
-        x, _, g = _bfgs(fun, np.zeros(3), 1e-12, 50, max_eval=2, h0=lambda: np.linalg.inv(a))
+        x, _, g = list(_bfgs(fun, np.zeros(3), max_eval=2, h0=lambda: np.linalg.inv(a)))[-1]
         assert np.max(np.abs(g)) <= 1e-12
         np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-12)
-        _, _, g = _bfgs(fun, np.zeros(3), 1e-12, 50, max_eval=2)
+        _, _, g = list(_bfgs(fun, np.zeros(3), max_eval=2))[-1]
         assert np.max(np.abs(g)) > 1e-12
+
+    def test_yields_the_start_and_each_accepted_step_within_the_budget(self):
+        a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+        b = np.array([1.0, -2.0, 0.5])
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return 0.5 * x @ a @ x - b @ x, a @ x - b
+
+        iterates = list(_bfgs(fun, np.zeros(3), max_eval=6))
+        assert len(calls) == 6
+        assert iterates[0][1] == 0.0 and len(iterates) >= 2
+        assert all(later[1] < earlier[1] for earlier, later in zip(iterates, iterates[1:]))
+        assert all(any(x is call for call in calls) for x, _, _ in iterates)
+
+    def test_a_non_finite_start_yields_nothing(self):
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return np.inf, np.zeros(2)
+
+        assert list(_bfgs(fun, np.zeros(2), h0=lambda: pytest.fail("h0 called"))) == []
+        assert len(calls) == 1
 
     def test_singular_opg_falls_back_to_the_identity(self):
         # at R = 1 the delta0 score is identically zero, so S'S / n is singular

@@ -15,6 +15,18 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_star_import_binds_no_submodule():
+    import types
+
+    import jointmix
+
+    namespace = {}
+    exec("from jointmix import *", namespace)
+    assert "em_fit" in namespace and "ModelParams" in namespace
+    assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+    assert not {"data", "em", "params", "simulation"} & set(jointmix.__all__)
+
+
 def imported_modules(path: Path) -> set[str]:
     """Every module a source file of the package imports, as a dotted name."""
     names = set()

@@ -235,6 +235,45 @@ class TestMcNormality:
         with pytest.raises(TypeError, match="a bug"):
             mc_normality(design, 2, threads=1)
 
+    @pytest.mark.parametrize("threads, replications, pools", [
+        (64, 2, [2]), (3, 5, [3]), (2, 1, []), (4, 0, []), (1, 3, [])])
+    def test_the_pool_has_no_more_workers_than_replications(self, monkeypatch, threads,
+                                                            replications, pools):
+        # a fork pool starts all max_workers processes at its first submit
+        built = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        def replication(design, rep, config):
+            return {"rep": rep, "ok": False, "error": "stub"}
+
+        monkeypatch.setattr(jointmix.simulation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(jointmix.simulation, "_run_replication", replication)
+        report = mc_normality(default_design(n=40, seed=16), replications, threads=threads)
+        assert built == pools
+        assert report.rep_errors == ("stub",) * replications
+        with pytest.raises(ValueError, match="threads"):
+            mc_normality(default_design(n=40, seed=16), replications, threads=0)
+
+    def test_a_non_converged_replication_keeps_the_fit_diagnostics(self):
+        # replication 6 of default_design(n=500) has its MLE at phi[2] = 1, reached but
+        # not certified
+        design = default_design(n=500, seed=0)
+        rec = jointmix.simulation._run_replication(design, 6, EMConfig(n_restarts=2, max_iter=20_000))
+        assert not rec["ok"]
+        assert rec["error"] == "not converged: first-order condition not met at exit"
+
     def test_truth_must_be_canonical(self):
         base = default_design(n=40, seed=14)
         params = ModelParams(np.array([0.0, -1.0]), base.params.ordinal,
