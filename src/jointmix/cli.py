@@ -316,8 +316,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    if args.threads < 1:
-        raise DataError(f"--threads must be >= 1, got {args.threads}")
     doc = load_json(args.design)
     if args.seed is not None:
         doc["seed"] = args.seed

@@ -9,7 +9,8 @@ import numpy as np
 
 
 class DataError(ValueError):
-    """Input records violate a documented data contract."""
+    """Input violates a documented contract: the records, or a setting such as
+    a fit's tolerances or a Monte Carlo study's replication count."""
 
 
 def _readonly(values, dtype) -> np.ndarray:

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import inference as _inference
 from . import survival as _survival
-from .data import PackedData
+from .data import DataError, PackedData
 from .likelihood import DegenerateSubjectError, _CollapsedQ, _gamma_of, _posterior_matrix
 from .ordinal import OrdinalParams
 from .params import ModelParams, ParamLayout, phi_from_u
@@ -109,7 +109,9 @@ class EMConfig:
     weight is below ``tol_param``.  ``FitResult.n_iter`` counts evaluations
     of the profile log-likelihood, line-search trials and the restart's
     opening EM step included, and ``max_iter`` bounds that count per
-    restart; with ``max_iter=1`` the opening EM step is skipped.
+    restart; with ``max_iter=1`` the opening EM step is skipped.  A
+    tolerance that is not positive, or a ``max_iter`` or ``n_restarts`` below
+    1, raises :class:`DataError`, a ``ValueError``.
     """
 
     tol_loglik: float = 1e-8
@@ -120,9 +122,9 @@ class EMConfig:
 
     def __post_init__(self):
         if self.tol_loglik <= 0 or self.tol_param <= 0:
-            raise ValueError("tolerances must be positive")
+            raise DataError("tolerances must be positive")
         if self.max_iter < 1 or self.n_restarts < 1:
-            raise ValueError("max_iter and n_restarts must be >= 1")
+            raise DataError("max_iter and n_restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -391,7 +393,7 @@ def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig) -> R
     collapses, when the ascent stops, or at a typed numeric failure.
     """
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
-    gamma, trace, n_iter, objective = np.tile(params.pi, (packed.n, 1)), [-np.inf], 0, None
+    gamma, trace, n_iter, objective = np.tile(params.pi[:, None], packed.n).T, [-np.inf], 0, None
     try:   # the opening E-step is one fixed-point step from the prior weights
         first = _inference._solve_fixed_point(packed, params, None, max_iter=1)
         gamma, trace, start = first.gamma, [first.loglik], params
@@ -477,7 +479,7 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
         sup-norm <= 1e-6.
     """
     if n_groups < 1:
-        raise ValueError("n_groups must be >= 1")
+        raise DataError("n_groups must be >= 1")
     if init is not None:
         if init.n_groups != n_groups:
             raise ValueError("init has a different number of groups")

@@ -43,8 +43,10 @@ def _loglik_and_posterior(packed: PackedData, comp: np.ndarray) -> tuple[float, 
     """Observed log-likelihood sum_i log sum_r exp(comp[i, r]) and the responsibilities.
 
     One pass over the (n, R) components: the row max is taken column by column
-    and the row sums as a BLAS product, because numpy's axis reductions over a
-    narrow array cost about ten times as much.
+    and the row sums as a BLAS product.  On the column-major arrays of the fit
+    (n = 10 000, R = 2) these take 6 and 8 us against 8 and 12 us for
+    ``max(axis=1)`` and ``sum(axis=1)``; on a row-major array the two axis
+    reductions take 470 and 177 us.  The results keep the layout of ``comp``.
     """
     rowmax = functools.reduce(np.maximum, comp.T)
     if not np.all(np.isfinite(rowmax)):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import ResponseSet, SubjectRecord, SurvivalRecord, _readonly
+from .data import DataError, ResponseSet, SubjectRecord, SurvivalRecord, _readonly
 from .em import _NUMERIC_ERRORS, EMConfig, em_fit
 from .ordinal import _linear_predictor
 from .params import ModelParams, ParamLayout
@@ -294,17 +294,19 @@ def mc_normality(design: SimDesign, replications: int, fit_config: EMConfig | No
     exception propagates; the report is flagged when failures exceed 10%.
     Replications run in a pool of ``min(threads, replications)`` processes,
     or serially when that is 1.  Deterministic for fixed (design, seed,
-    replications), whatever ``threads``.
+    replications), whatever ``threads``.  A negative ``replications``,
+    ``threads`` below 1 or a true theta that is not ascending raises
+    :class:`DataError`, a ``ValueError``, before any replication runs.
     """
     if replications < 0:
-        raise ValueError("replications must be >= 0")
+        raise DataError("replications must be >= 0")
     if threads < 1:
-        raise ValueError("threads must be >= 1")
+        raise DataError("threads must be >= 1")
     if fit_config is None:
         fit_config = EMConfig(n_restarts=2)
     layout = ParamLayout(design.params.n_groups, design.params.n_levels, design.params.n_items)
     if np.any(np.diff(design.params.theta) < 0):
-        raise ValueError("true theta must be ascending so fits can be label-aligned to it")
+        raise DataError("true theta must be ascending so fits can be label-aligned to it")
     truth = layout.pack(design.params)
     p = layout.n_free
     names = tuple(layout.names)

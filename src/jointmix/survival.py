@@ -80,9 +80,16 @@ class HazardSteps:
 
 
 def linear_predictors(theta: np.ndarray, delta: SurvivalParams, covariates: np.ndarray) -> np.ndarray:
-    """Matrix lp[i, r] = theta[r] * delta0 + X[i] * delta1."""
-    return np.clip(theta[None, :] * delta.delta0 + covariates[:, None] * delta.delta1,
-                   -_LP_BOUND, _LP_BOUND)
+    """Matrix lp[i, r] = theta[r] * delta0 + X[i] * delta1, column-major.
+
+    Built as the (R, n) array and returned transposed, so each group's column
+    is contiguous.  The arrays formed from this one keep that order, and
+    numpy broadcasts a per-subject vector against them (``c[:, None] * a``)
+    three to four times faster than against a row-major (n, R) array with
+    R = 2 or 3, whose inner loops run along the short rows.
+    """
+    return np.clip(theta[:, None] * delta.delta0 + covariates[None, :] * delta.delta1,
+                   -_LP_BOUND, _LP_BOUND).T
 
 
 def breslow_steps(packed: PackedData, s0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,9 +110,10 @@ class RiskSetTables:
 
     Holds the profiled hazard ``jumps`` and the M1/M0 table ``ratio`` on the
     packed distinct observed ``times``.  ``gamma`` is kept read-only: an
-    owning read-only float array, such as the responsibilities
-    :func:`inference.fixed_point_posterior` returns, is shared; anything else
-    is copied, so later writes to the caller's array cannot reach the tables.
+    owning read-only float array, such as the column-major responsibilities
+    :func:`inference.fixed_point_posterior` returns, is shared as it is;
+    anything else is copied in its own memory order, so later writes to the
+    caller's array cannot reach the tables.
     ``ratio`` is derived on first read and then kept, so tables that serve
     only the hazard hold gamma and the jumps alone.
 
@@ -198,8 +206,9 @@ def profiled_loglik(packed: PackedData, gamma: np.ndarray, theta: np.ndarray,
     """
     lp = linear_predictors(theta, delta, packed.covariates)
     w = gamma * np.exp(lp)
-    # row sums and column reductions as BLAS products: numpy's axis sums over a
-    # narrow (n, R) array run about 10x slower, and this is the M-step's hot path
+    # row sums and column reductions as BLAS products, on the M-step's hot path: at
+    # n = 10 000 and R = 2, w @ ones takes 8 us against 12 us for w.sum(axis=1) on
+    # the column-major w here, and 177 us for the axis sum on a row-major array
     jumps, cum = breslow_steps(packed, packed.suffix_sums(w @ np.ones(theta.size)))
     cum_at = cum[packed.time_index]
     d, x = packed.events, packed.covariates

@@ -131,6 +131,21 @@ class TestFit:
         assert "max_iters" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--max-iter", "0"], None), (["--restarts", "0"], None), (["--tol-param=-1e-6"], None),
+        (["--groups", "0"], None), ([], {"max_iter": 0})],
+        ids=["max-iter", "restarts", "tol-param", "groups", "config"])
+    def test_invalid_fit_settings_exit_1(self, sim_dir, tmp_path, capsys, flags, config):
+        before = []
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            before = ["--config", str(tmp_path / "config.json")]
+        code = main(before + ["fit", str(sim_dir / "ordinal.csv"), str(sim_dir / "survival.csv"),
+                              *flags, "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_config_keys_of_another_subcommand_are_allowed(self, sim_dir, tmp_path):
         # threads and replications belong to mc; fit ignores them
         config = tmp_path / "config.json"
@@ -162,6 +177,16 @@ class TestMc:
         code = main(["mc", str(design), "--replications", "2", "--threads", threads,
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_INPUT
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("replications, theta", [("-1", [0.0, 1.0]), ("2", [0.0, -1.0])],
+                             ids=["replications", "descending-theta"])
+    def test_invalid_study_exits_1(self, tmp_path, capsys, replications, theta):
+        design = write_design(tmp_path, n=50, params=dict(DESIGN["params"], theta=theta))
+        code = main(["mc", str(design), "--replications", replications,
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: ")
         assert not (tmp_path / "out").exists()
 
 

@@ -18,7 +18,7 @@ from jointmix.data import DataError, PackedData
 from jointmix.inference import pseudo_standard_errors, true_posterior
 from jointmix.ordinal import loglik_matrix
 from jointmix.simulation import SimDesign, UniformCensoring
-from jointmix.survival import RiskSetTables
+from jointmix.survival import RiskSetTables, linear_predictors
 
 from conftest import make_subject, random_gamma, random_params, random_dataset, rescaled
 from oracles import profile_score_obs
@@ -438,6 +438,24 @@ class TestFixedPoint:
         oracle = score_matrix(packed, params, gamma, tables).mean(axis=0)
         value = mean_profile_score(packed, params)
         assert np.max(np.abs(value - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("n_groups", [2, 3])
+    def test_per_subject_group_arrays_are_column_major(self, n_groups):
+        params, records, gamma_c = dataset_and_gamma(96 + n_groups, n=60, n_groups=n_groups)
+        packed = PackedData.coerce(records, 3, 2)
+        lp = linear_predictors(params.theta, params.survival, packed.covariates)
+        assert lp.flags.f_contiguous
+        assert loglik_matrix(packed, params.ordinal, params.theta).flags.f_contiguous
+        solve = jointmix.inference._solve_fixed_point
+        assert solve(packed, params, None).gamma.flags.f_contiguous
+        assert gamma_c.flags.c_contiguous and gamma_c.flags.writeable
+        before = gamma_c.copy()
+        for gamma0 in (gamma_c, solve(packed, params, gamma_c, max_iter=1).gamma):
+            warm = solve(packed, params, gamma0, max_iter=1).gamma
+            assert warm.flags.f_contiguous and not np.shares_memory(warm, gamma0)
+        np.testing.assert_array_equal(gamma_c, before)
+        gamma, tables = fixed_point_posterior(packed, params, gamma_c)
+        assert gamma.flags.f_contiguous and tables.gamma is gamma
 
     def test_kept_pair_holds_gamma_and_jumps_only(self):
         # n = 2 000, R = 3: gamma is 48 000 bytes and the per-group M0 table as much
