@@ -110,9 +110,17 @@ class PackedData:
     count tensors ``counts[i, j, l]`` and observed-cell totals
     ``cells[i, j]``.  Survival times are indexed against the sorted distinct
     observed times, and the time order is computed once here, so every
-    risk-set sum the fitters take is :meth:`suffix_sums`: one reverse
-    cumulative sum read at the first sorted position of each distinct time.
+    risk-set sum the fitters take is one reverse cumulative sum read at the
+    first sorted position of each distinct time (:meth:`suffix_sums`), or of
+    each event time only (:meth:`event_suffix_sums`).
     Subjects keep their input order in every array.
+
+    The profiled hazard jumps only at event times, so the event-time grid is
+    fixed here too: ``event_slots`` are the positions in ``distinct_times``
+    of the times with an event, ``slot_counts`` the event counts there, and
+    ``slots_through[i]`` the number of event times at or before subject i's
+    time, which indexes a cumulative sum over the event times that starts
+    with 0.  ``event_counts`` holds the counts on the whole distinct-time grid.
     """
 
     def __init__(self, records: Sequence[SubjectRecord], n_levels: int | None = None,
@@ -150,8 +158,13 @@ class PackedData:
         order = np.argsort(self.times, kind="stable")
         self._desc_order = order[::-1].copy()
         self._suffix_at = n - 1 - np.searchsorted(self.times[order], self.distinct_times)
+        self.event_slots = np.flatnonzero(self.event_counts)
+        self.slot_counts = self.event_counts[self.event_slots]
+        self.slots_through = np.searchsorted(self.event_slots, self.time_index, side="right")
+        self._suffix_at_slots = self._suffix_at[self.event_slots]
         for arr in (self.times, self.events, self.covariates, self.counts, self.cells,
-                    self.distinct_times, self.time_index, self.event_counts):
+                    self.distinct_times, self.time_index, self.event_counts, self.event_slots,
+                    self.slot_counts, self.slots_through, self._suffix_at_slots):
             arr.flags.writeable = False
 
     @classmethod
@@ -171,5 +184,13 @@ class PackedData:
         leading axis replaced by the distinct-time axis, entry ``k`` holding
         the sum over subjects with ``T_i >= distinct_times[k]``.
         """
+        return self._running_sums_at(values, self._suffix_at)
+
+    def event_suffix_sums(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`suffix_sums` at the event times only: entry ``j`` is entry
+        ``event_slots[j]`` of it, read from the same running sum."""
+        return self._running_sums_at(values, self._suffix_at_slots)
+
+    def _running_sums_at(self, values: np.ndarray, at: np.ndarray) -> np.ndarray:
         running = np.cumsum(np.take(values, self._desc_order, axis=0), axis=0)
-        return np.take(running, self._suffix_at, axis=0)
+        return np.take(running, at, axis=0)

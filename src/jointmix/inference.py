@@ -14,7 +14,8 @@ import numpy as np
 from . import ordinal as _ordinal
 from . import survival as _survival
 from .data import PackedData
-from .likelihood import _CollapsedQ, _gamma_of, _loglik_and_posterior, _posterior_matrix
+from .likelihood import (_CollapsedQ, _gamma_of, _observed_loglik, _posterior_matrix,
+                         _posterior_parts)
 from .params import ModelParams, ParamLayout
 from .survival import HazardSteps, RiskSetTables, SurvivalParams
 
@@ -151,9 +152,14 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
 
     The ordinal log-likelihoods, d_i lp_ir, log pi_r and exp(lp_ir) do not
     change while the parameters are fixed, so they are formed once; each
-    step takes the risk-set sums and the cumulative hazard only.  The event
-    term d_i log dLambda(T_i) is the same in every group and cancels from the
-    responsibilities, so it is added to the log-likelihood once, at the end.
+    step takes the risk-set totals at the event times and the cumulative
+    hazard at each subject only, from :func:`survival.breslow_steps` and the
+    event-time constants :class:`~jointmix.data.PackedData` holds.  No step
+    takes a logarithm: the observed log-likelihood is formed once, after the
+    last step, from that step's row maxima and row totals.  The event term
+    d_i log dLambda(T_i) is the same in every group and cancels from the
+    responsibilities, so it is added then too, as sum_k d_k log dLambda(t_k)
+    over the event times.
 
     Every (n, R) array here is column-major, as the linear predictors and
     the ordinal log-likelihoods are, so numpy's elementwise loops run down a
@@ -173,19 +179,17 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
     fixed = (_ordinal.loglik_matrix(packed, params.ordinal, theta)
              + packed.events[:, None] * lp + np.log(params.pi)[None, :])
     ones = np.ones(theta.size)
-    k = packed.time_index
     gamma = (np.tile(params.pi[:, None], packed.n).T if gamma0 is None
              else np.array(gamma0, dtype=float, order="F"))
     converged = False
     for n_steps in range(1, max_iter + 1):
-        jumps, cum = _survival.breslow_steps(packed, packed.suffix_sums((gamma * e) @ ones))
-        loglik, gamma_new = _loglik_and_posterior(packed, fixed - cum[k][:, None] * e)
+        jumps, cum_at = _survival.breslow_steps(packed, (gamma * e) @ ones)
+        rowmax, total, gamma_new = _posterior_parts(packed, fixed - cum_at[:, None] * e)
         converged = float(np.max(np.abs(gamma_new - gamma))) < _FIXED_POINT_TOL
         gamma = gamma_new
         if converged:
             break
-    ev = packed.event_counts > 0
-    loglik += float(packed.event_counts[ev] @ np.log(jumps[ev]))
+    loglik = _observed_loglik(rowmax, total) + float(packed.slot_counts @ np.log(jumps))
     gamma.flags.writeable = False             # RiskSetTables can then share it
     return _FixedPoint(gamma, loglik, n_steps, converged)
 

@@ -39,11 +39,16 @@ def _loglik_components(packed: PackedData, params: ModelParams, hazard) -> np.nd
     return ll + np.log(params.pi)[None, :]
 
 
-def _loglik_and_posterior(packed: PackedData, comp: np.ndarray) -> tuple[float, np.ndarray]:
-    """Observed log-likelihood sum_i log sum_r exp(comp[i, r]) and the responsibilities.
+def _posterior_parts(packed: PackedData, comp: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                                     np.ndarray]:
+    """Row maxima, row totals and responsibilities of the (n, R) components.
 
-    One pass over the (n, R) components: the row max is taken column by column
-    and the row sums as a BLAS product.  On the column-major arrays of the fit
+    ``rowmax[i]`` is max_r comp[i, r], ``total[i]`` is sum_r exp(comp[i, r] -
+    rowmax[i]) and the responsibilities are those exponentials over
+    ``total``; :func:`_observed_loglik` takes the log-likelihood from the
+    first two, so a caller that needs only the posterior takes no logarithm.
+    One pass over the components: the row max is taken column by column and
+    the row sums as a BLAS product.  On the column-major arrays of the fit
     (n = 10 000, R = 2) these take 6 and 8 us against 8 and 12 us for
     ``max(axis=1)`` and ``sum(axis=1)``; on a row-major array the two axis
     reductions take 470 and 177 us.  The results keep the layout of ``comp``.
@@ -55,12 +60,16 @@ def _loglik_and_posterior(packed: PackedData, comp: np.ndarray) -> tuple[float, 
             f"subject {packed.subject_ids[bad]!r}: zero density in every component")
     gamma = np.exp(comp - rowmax[:, None])
     total = gamma @ np.ones(comp.shape[1])
-    loglik = float(rowmax.sum() + np.log(total).sum())
-    return loglik, gamma / total[:, None]
+    return rowmax, total, gamma / total[:, None]
+
+
+def _observed_loglik(rowmax: np.ndarray, total: np.ndarray) -> float:
+    """sum_i log sum_r exp(comp[i, r]) from :func:`_posterior_parts`' row maxima and totals."""
+    return float(rowmax.sum() + np.log(total).sum())
 
 
 def _posterior_matrix(packed: PackedData, params: ModelParams, hazard) -> np.ndarray:
-    return _loglik_and_posterior(packed, _loglik_components(packed, params, hazard))[1]
+    return _posterior_parts(packed, _loglik_components(packed, params, hazard))[2]
 
 
 class _CollapsedQ:

@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from jointmix.data import PackedData, ResponseSet, SubjectRecord, SurvivalRecord
-from jointmix.likelihood import (DegenerateSubjectError, _gamma_of, _loglik_and_posterior,
-                                 _loglik_components)
+from jointmix.likelihood import (DegenerateSubjectError, _gamma_of, _loglik_components,
+                                 _observed_loglik, _posterior_parts)
 from jointmix.ordinal import OrdinalParams, _linear_predictor
 from jointmix.params import ModelParams, ParamLayout
 from jointmix.survival import (EmptyRiskSetError, HazardSteps, InvalidHazardError, RiskSetTables,
@@ -230,6 +230,7 @@ def observed_loglik(data, params: ModelParams, hazard) -> float:
     """Observed-data mixture log-likelihood at a given baseline hazard."""
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
     try:
-        return _loglik_and_posterior(packed, _loglik_components(packed, params, hazard))[0]
+        rowmax, total, _ = _posterior_parts(packed, _loglik_components(packed, params, hazard))
     except DegenerateSubjectError as err:
         raise FloatingPointError("observed log-likelihood is not finite") from err
+    return _observed_loglik(rowmax, total)

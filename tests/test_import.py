@@ -105,23 +105,27 @@ def test_no_module_imports_scipy():
         assert not found, f"{path.name} imports {sorted(found)}"
 
 
-def enclosing_scopes(path: Path, name: str) -> set[str]:
-    """Qualified names of the functions (or ``<module>``) whose own bodies call ``name``,
-    directly or as a module attribute."""
-    scopes = set()
+def scoped_nodes(path: Path):
+    """``(scope, node)`` for every node of a source file: the qualified name of the
+    innermost function or class whose body holds the node, or ``<module>``."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
+            yield f"{path.stem}.{scope}", child
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
-            elif isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
-                                                           getattr(child.func, "attr", None)):
-                scopes.add(f"{path.stem}.{scope}")
-            visit(child, inner)
+            yield from visit(child, inner)
 
-    visit(ast.parse(path.read_text()), "<module>")
-    return scopes
+    yield from visit(ast.parse(path.read_text()), "<module>")
+
+
+def enclosing_scopes(path: Path, name: str) -> set[str]:
+    """Qualified names of the functions (or ``<module>``) whose own bodies call ``name``,
+    directly or as a module attribute."""
+    return {scope for scope, node in scoped_nodes(path)
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
 
 
 def test_the_profile_score_is_evaluated_in_one_place():
@@ -136,3 +140,20 @@ def test_the_profile_score_is_evaluated_in_one_place():
         names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
                   for alias in node.names}
         assert ("_phi_chain" in names) == (path.name == "params.py"), path.name
+
+
+def test_the_breslow_quotient_is_taken_in_one_place():
+    # the event counts on the whole distinct-time grid stay inside PackedData; the
+    # kernels read its event-time constants, and only breslow_steps divides an
+    # event count by a risk-set total
+    counts = {"event_counts", "slot_counts"}
+    readers, quotients = set(), set()
+    for path in sorted((SRC / "jointmix").glob("*.py")):
+        for scope, node in scoped_nodes(path):
+            if isinstance(node, ast.Attribute) and node.attr == "event_counts":
+                readers.add(path.name)
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and counts & {
+                    sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}:
+                quotients.add(scope)
+    assert readers == {"data.py"}
+    assert quotients == {"survival.breslow_steps"}

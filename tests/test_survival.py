@@ -5,16 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jointmix import (EmptyRiskSetError, HazardSteps, InvalidHazardError, SurvivalParams,
-                      SurvivalRecord)
+from jointmix import (EmptyRiskSetError, HazardSteps, InvalidHazardError, ModelParams,
+                      OrdinalParams, SurvivalParams, SurvivalRecord, default_design,
+                      generate_dataset)
 from jointmix.data import PackedData
+from jointmix.inference import _solve_fixed_point
 from jointmix.simulation import ConstantBaseline
-from jointmix.survival import (RiskSetTables, efficient_scores, loglik_matrix, profile_scores,
-                               profiled_loglik)
+from jointmix.survival import (RiskSetTables, breslow_steps, efficient_scores, loglik_matrix,
+                               profile_scores, profiled_loglik)
 
 from conftest import random_gamma, survival_only
-from oracles import (cum_hazard, efficient_score_survival, profile_hazard, risk_aggregates,
-                     risk_set_tables, survival_loglik, survival_profile_score)
+from oracles import (cum_hazard, efficient_score_survival, observed_loglik, profile_hazard,
+                     risk_aggregates, risk_set_tables, survival_loglik, survival_profile_score)
 
 
 def nelson_aalen_oracle(times, events):
@@ -106,6 +108,21 @@ class TestRiskSetTables:
             for name, want in expected.items():
                 np.testing.assert_array_equal(getattr(tables, name), want, err_msg=name)
 
+    @pytest.mark.parametrize("bad, error", [(np.nan, FloatingPointError),
+                                            (0.0, EmptyRiskSetError)])
+    def test_a_bad_risk_set_total_raises(self, bad, error):
+        # NaN weights on the latest subject reach every risk set; zero weights on
+        # every subject empty them
+        design = default_design(n=40, seed=1)
+        packed = PackedData.coerce(generate_dataset(design)[0])
+        gamma = np.full((packed.n, 2), 0.5)
+        if np.isnan(bad):
+            gamma[np.argmax(packed.times)] = bad
+        else:
+            gamma[:] = bad
+        with pytest.raises(error):
+            RiskSetTables(packed, gamma, design.params.theta, design.params.survival)
+
 
 @st.composite
 def tied_survival_data(draw, max_n=15):
@@ -144,6 +161,61 @@ class TestSuffixSums:
         rows = loglik_matrix(packed, tables, theta, delta)
         rows_p = loglik_matrix(shuffled, tables_p, theta, delta)
         np.testing.assert_allclose(rows_p[np.argsort(perm)], rows, rtol=1e-12, atol=1e-12)
+
+
+# survival-only records pack with two levels and one item
+EVENT_GRID_PARAMS = ModelParams(np.array([0.0, 0.7]),
+                                OrdinalParams(np.array([0.0, 0.3]), np.array([0.0, 1.0]),
+                                              np.array([0.0])),
+                                SurvivalParams(0.4, -0.3), np.array([0.4, 0.6]))
+
+
+class TestBreslowSteps:
+    @given(tied_survival_data())
+    # ties, a censored earliest time and two subjects before the first event
+    @example((survival_only([0.5, 0.5, 1.0, 2.0, 2.0, 3.5], [0, 0, 1, 1, 1, 0],
+                            [0.1, -1.0, 0.5, 1.5, -0.3, 0.0]), np.random.default_rng(0)))
+    @example((survival_only([1.0, 2.0, 2.0], [0, 0, 0], [0.2, -0.4, 1.0]),
+              np.random.default_rng(1)))            # every subject censored
+    @settings(max_examples=60, deadline=None)
+    def test_event_time_grid_matches_brute_force(self, drawn):
+        records, rng = drawn
+        packed = PackedData.coerce(records)
+        for arr in (packed.event_slots, packed.slot_counts, packed.slots_through,
+                    packed._suffix_at_slots):
+            assert not arr.flags.writeable
+        times = [r.survival.time for r in records]
+        events = [r.survival.event for r in records]
+        event_times = sorted({t for t, d in zip(times, events) if d})
+
+        w = rng.uniform(0.1, 3.0, len(records))
+        jumps, cum_at = breslow_steps(packed, w)
+        assert jumps.shape == (len(event_times),)
+        want = [sum(d for ti, d in zip(times, events) if ti == t)
+                / sum(wi for ti, wi in zip(times, w) if ti >= t) for t in event_times]
+        np.testing.assert_allclose(jumps, want, rtol=1e-12, atol=0)
+        want_cum = [sum(j for t, j in zip(event_times, jumps) if t <= ti) for ti in times]
+        np.testing.assert_allclose(cum_at, want_cum, rtol=1e-12, atol=0)
+        assert all(c == 0.0 for c, ti in zip(cum_at, times) if all(t > ti for t in event_times))
+
+        params = EVENT_GRID_PARAMS
+        gamma = random_gamma(rng, len(records), 2)
+        tables = RiskSetTables(packed, gamma, params.theta, params.survival)
+        for t, jump in zip(tables.times, tables.jumps):
+            assert jump > 0 if t in event_times else jump == 0.0, t
+        value, _ = profiled_loglik(packed, gamma, params.theta, params.survival)
+        expected = (gamma * loglik_matrix(packed, tables, params.theta, params.survival)).sum()
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+        # the one step's log-likelihood is at the hazard it profiled from gamma
+        solve = _solve_fixed_point(packed, params, gamma, max_iter=1)
+        assert solve.loglik == pytest.approx(
+            observed_loglik(packed, params, tables.hazard_steps()), rel=1e-12)
+        solve = _solve_fixed_point(packed, params, None)
+        at_fixed_point = RiskSetTables(packed, solve.gamma, params.theta, params.survival)
+        assert solve.converged
+        assert solve.loglik == pytest.approx(
+            observed_loglik(packed, params, at_fixed_point.hazard_steps()), rel=1e-12)
 
 
 class TestProfileHazard:
