@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,6 +39,9 @@ class ResponseSet:
     contributes nothing to any likelihood or score.  Each observed cell
     carries exactly one level, so duplicate ``(item, time_point)`` pairs are
     rejected.
+
+    Validation runs once per record, on the Python lists of the three
+    columns; :class:`PackedData` tabulates the cells of all subjects at once.
     """
 
     items: np.ndarray
@@ -49,10 +54,10 @@ class ResponseSet:
         levels = _readonly(self.levels, np.int64)
         if items.ndim != 1 or items.shape != times.shape or items.shape != levels.shape:
             raise DataError("items, time_points and levels must be 1-d arrays of equal length")
-        if items.size and (items.min() < 1 or times.min() < 1 or levels.min() < 1):
+        item_list, time_list = items.tolist(), times.tolist()
+        if item_list and min(min(item_list), min(time_list), min(levels.tolist())) < 1:
             raise DataError("items, time_points and levels are 1-based and must be >= 1")
-        cells = set(zip(items.tolist(), times.tolist()))
-        if len(cells) != items.size:
+        if len(set(zip(item_list, time_list))) != len(item_list):
             raise DataError("duplicate (item, time_point) cell: each observed cell has exactly one level")
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "time_points", times)
@@ -66,32 +71,50 @@ class ResponseSet:
     def n_cells(self) -> int:
         return int(self.items.size)
 
-    def counts(self, n_items: int, n_levels: int) -> np.ndarray:
-        """Tabulate observed cells into an ``(n_items, n_levels)`` count matrix."""
-        if self.items.size and self.items.max() > n_items:
-            raise DataError(f"item index {int(self.items.max())} exceeds n_items={n_items}")
-        if self.levels.size and self.levels.max() > n_levels:
-            raise DataError(f"level {int(self.levels.max())} exceeds n_levels={n_levels}")
-        out = np.zeros((n_items, n_levels))
-        np.add.at(out, (self.items - 1, self.levels - 1), 1.0)
-        return out
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; anything but a real scalar is a :class:`DataError`.
+
+    Python and numpy bools count as real scalars; arrays, strings and complex
+    numbers do not.
+    """
+    if type(value) is not float and not isinstance(value, (numbers.Real, np.bool_)):
+        raise DataError(f"{name} must be a real scalar, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DataError(f"{name} must be finite, got {value!r}") from None
 
 
 @dataclass(frozen=True)
 class SurvivalRecord:
-    """One subject's follow-up: observed time, event flag and covariate."""
+    """One subject's follow-up: observed time, event flag and covariate.
+
+    Stored as ``float``, ``int`` and ``float`` whatever real scalars were
+    given, so an event given as ``1.0`` or ``True`` is kept as ``1``.
+    """
 
     time: float
     event: int
     covariate: float
 
     def __post_init__(self):
-        if not np.isfinite(self.time) or self.time <= 0:
+        time, event, covariate = self.time, self.event, self.covariate
+        # the types the CSV reader and generate_dataset pass need no conversion
+        exact = type(time) is float and type(event) is int and type(covariate) is float
+        if not exact:
+            time, event, covariate = (_real(time, "time"), _real(event, "event"),
+                                      _real(covariate, "covariate"))
+        if not 0 < time < math.inf:
             raise DataError(f"time must be positive and finite, got {self.time!r}")
-        if self.event not in (0, 1):
+        if event not in (0, 1):
             raise DataError(f"event must be 0 or 1, got {self.event!r}")
-        if not np.isfinite(self.covariate):
+        if not math.isfinite(covariate):
             raise DataError(f"covariate must be finite, got {self.covariate!r}")
+        if not exact:
+            object.__setattr__(self, "time", time)
+            object.__setattr__(self, "event", int(event))
+            object.__setattr__(self, "covariate", covariate)
 
 
 @dataclass(frozen=True)
@@ -121,6 +144,14 @@ class PackedData:
     ``slots_through[i]`` the number of event times at or before subject i's
     time, which indexes a cumulative sum over the event times that starts
     with 0.  ``event_counts`` holds the counts on the whole distinct-time grid.
+
+    Packing takes no per-subject numpy call: one pass gathers the survival
+    fields into one float array, the observed cells of all subjects are
+    concatenated once, and ``counts`` is one ``np.bincount`` over the flat
+    cell index ``(i * n_items + item - 1) * n_levels + level - 1``.  A
+    dimension that is not given is inferred as the largest level or item
+    observed (2 and 1 when no cell is), and the bounds are checked once, on
+    the concatenated cells.
     """
 
     def __init__(self, records: Sequence[SubjectRecord], n_levels: int | None = None,
@@ -128,22 +159,31 @@ class PackedData:
         records = list(records)
         if not records:
             raise DataError("dataset must contain at least one subject")
+        n = len(records)
+        responses = [r.responses for r in records]
+        items = np.concatenate([resp.items for resp in responses])
+        levels = np.concatenate([resp.levels for resp in responses])
+        max_item = int(items.max()) if items.size else 1
+        max_level = int(levels.max()) if levels.size else 2
         if n_levels is None:
-            n_levels = max((int(r.responses.levels.max()) for r in records if r.responses.n_cells), default=2)
+            n_levels = max_level
         if n_items is None:
-            n_items = max((int(r.responses.items.max()) for r in records if r.responses.n_cells), default=1)
+            n_items = max_item
         if n_levels < 2:
             raise DataError("need at least two response levels")
-        n = len(records)
+        if items.size and max_item > n_items:
+            raise DataError(f"item index {max_item} exceeds n_items={n_items}")
+        if max_level > n_levels:
+            raise DataError(f"level {max_level} exceeds n_levels={n_levels}")
         self.n = n
-        self.n_levels = int(n_levels)
-        self.n_items = int(n_items)
-        self.times = np.array([r.survival.time for r in records])
-        self.events = np.array([float(r.survival.event) for r in records])
-        self.covariates = np.array([r.survival.covariate for r in records])
-        self.counts = np.zeros((n, self.n_items, self.n_levels))
-        for i, rec in enumerate(records):
-            self.counts[i] = rec.responses.counts(self.n_items, self.n_levels)
+        self.n_levels = L = int(n_levels)
+        self.n_items = J = int(n_items)
+        survival = np.array([(r.survival.time, r.survival.event, r.survival.covariate)
+                             for r in records])
+        self.times, self.events, self.covariates = (survival[:, k].copy() for k in range(3))
+        first_cell = np.repeat(np.arange(n) * J, [resp.items.size for resp in responses])
+        flat = (first_cell + items - 1) * L + levels - 1
+        self.counts = np.bincount(flat, minlength=n * J * L).reshape(n, J, L).astype(float)
         self.cells = self.counts.sum(axis=2)
         self.subject_ids = tuple(
             r.subject_id if r.subject_id is not None else i for i, r in enumerate(records)
@@ -163,8 +203,9 @@ class PackedData:
         self.slots_through = np.searchsorted(self.event_slots, self.time_index, side="right")
         self._suffix_at_slots = self._suffix_at[self.event_slots]
         for arr in (self.times, self.events, self.covariates, self.counts, self.cells,
-                    self.distinct_times, self.time_index, self.event_counts, self.event_slots,
-                    self.slot_counts, self.slots_through, self._suffix_at_slots):
+                    self.distinct_times, self.time_index, self.event_counts, self._desc_order,
+                    self._suffix_at, self.event_slots, self.slot_counts, self.slots_through,
+                    self._suffix_at_slots):
             arr.flags.writeable = False
 
     @classmethod

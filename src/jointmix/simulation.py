@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -172,6 +171,11 @@ def generate_dataset(design: SimDesign, rng: np.random.Generator | None = None):
     use.  A response is 1 plus the number of the first L - 1 cumulative
     probabilities its uniform draw exceeds, so it is at most L even when the
     last cumulative probability rounds below 1.
+
+    Every draw is taken for all subjects at once.  The records are then built
+    in one pass over the columns as Python lists; each subject's
+    ``ResponseSet`` shares one read-only item column and one time column and
+    validates its own levels.
     """
     if rng is None:
         rng = np.random.default_rng(design.seed)
@@ -207,14 +211,9 @@ def generate_dataset(design: SimDesign, rng: np.random.Generator | None = None):
     # read-only and owning, so every subject's ResponseSet shares them uncopied
     item_col = _readonly(np.repeat(np.arange(1, J + 1), m_pts), np.int64)
     time_col = _readonly(np.tile(np.arange(1, m_pts + 1), J), np.int64)
-    records = []
-    for i in range(n):
-        responses = ResponseSet(item_col, time_col, levels[i].reshape(-1))
-        records.append(SubjectRecord(
-            responses=responses,
-            survival=SurvivalRecord(float(observed[i]), int(events[i]), float(x[i])),
-            subject_id=i + 1,
-        ))
+    records = [SubjectRecord(ResponseSet(item_col, time_col, row), SurvivalRecord(t, e, c), i)
+               for i, row, t, e, c in zip(range(1, n + 1), levels.reshape(n, J * m_pts),
+                                          observed.tolist(), events.tolist(), x.tolist())]
     return records, labels
 
 
@@ -313,6 +312,9 @@ def mc_normality(design: SimDesign, replications: int, fit_config: EMConfig | No
 
     workers = min(threads, replications)   # a fork pool starts all its workers at once
     if workers > 1:
+        # imported here, so that importing the package loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_replication, [design] * replications,
                                     range(replications), [fit_config] * replications))

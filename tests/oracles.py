@@ -7,16 +7,18 @@ quantities the slow, direct way, one subject or one time at a time, so the
 tests can check the packed kernels against an independent evaluation.  No
 package code path calls them.
 
-``category_probs`` is the per-point reference for the ordinal table kernel:
-one item's level probabilities at one group effect, normalized by its own
-maximum rather than by ``ordinal._linear_predictor``'s log-normalizer.
+``response_counts`` tabulates one subject's cells, the reference for the
+packed count tensor.  ``category_probs`` is the per-point reference for the
+ordinal table kernel: one item's level probabilities at one group effect,
+normalized by its own maximum rather than by ``ordinal._linear_predictor``'s
+log-normalizer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from jointmix.data import PackedData, ResponseSet, SubjectRecord, SurvivalRecord
+from jointmix.data import DataError, PackedData, ResponseSet, SubjectRecord, SurvivalRecord
 from jointmix.likelihood import (DegenerateSubjectError, _gamma_of, _loglik_components,
                                  _observed_loglik, _posterior_parts)
 from jointmix.ordinal import OrdinalParams, _linear_predictor
@@ -149,6 +151,20 @@ def efficient_score_survival(rec: SurvivalRecord, gamma_row: np.ndarray, baselin
 
 # ------------------------------------------------------------ ordinal
 
+def response_counts(responses: ResponseSet, n_items: int, n_levels: int) -> np.ndarray:
+    """One subject's observed cells tabulated into an ``(n_items, n_levels)`` count matrix.
+
+    The per-record reference for ``PackedData.counts``, with its bound errors.
+    """
+    if responses.items.size and responses.items.max() > n_items:
+        raise DataError(f"item index {int(responses.items.max())} exceeds n_items={n_items}")
+    if responses.levels.size and responses.levels.max() > n_levels:
+        raise DataError(f"level {int(responses.levels.max())} exceeds n_levels={n_levels}")
+    out = np.zeros((n_items, n_levels))
+    np.add.at(out, (responses.items - 1, responses.levels - 1), 1.0)
+    return out
+
+
 def category_probs(item: int, group_effect: float, params: OrdinalParams) -> np.ndarray:
     """Probability of each response level for one item at a given group effect.
 
@@ -173,7 +189,7 @@ def ordinal_loglik(responses: ResponseSet, group_effect: float, params: OrdinalP
     """
     if responses.n_cells == 0:
         return 0.0
-    counts = responses.counts(params.n_items, params.n_levels)
+    counts = response_counts(responses, params.n_items, params.n_levels)
     eta, logz = _linear_predictor(params.a, params.phi, params.b, np.asarray([group_effect]))
     return float(np.sum(counts * eta[0]) - counts.sum(axis=1) @ logz[0])
 
@@ -185,7 +201,7 @@ def ordinal_score(responses: ResponseSet, group_effect: float, params: OrdinalPa
     coordinates are excluded).
     """
     L, J = params.n_levels, params.n_items
-    counts = responses.counts(J, L)
+    counts = response_counts(responses, J, L)
     eta, logz = _linear_predictor(params.a, params.phi, params.b, np.asarray([group_effect]))
     probs = np.exp(eta[0] - logz[0][:, None])
     resid = counts - counts.sum(axis=1, keepdims=True) * probs

@@ -1,9 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from jointmix.cli import EXIT_INPUT, main
+from jointmix.cli import (EXIT_INPUT, build_records, main, read_ordinal_csv, read_survival_csv,
+                          write_dataset_csvs)
+
+from conftest import make_subject
 
 DESIGN = {
     "n": 90,
@@ -55,6 +59,22 @@ class TestSimulate:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 10}))
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+class TestDatasetCsvs:
+    @pytest.mark.parametrize("event", [1.0, True])
+    def test_records_round_trip_whatever_the_event_type(self, tmp_path, event):
+        records = [make_subject(2.5, event, 0.25, [(1, 1, 2), (2, 3, 1)], subject_id="a"),
+                   make_subject(4, 0, -1, subject_id="b")]
+        write_dataset_csvs(records, None, tmp_path)
+        back = build_records(read_survival_csv(str(tmp_path / "survival.csv")),
+                             read_ordinal_csv(str(tmp_path / "ordinal.csv")))
+        assert [r.subject_id for r in back] == ["a", "b"]
+        assert [r.survival for r in back] == [r.survival for r in records]
+        assert [type(r.survival.event) for r in back + records] == [int] * 4
+        for got, want in zip(back, records):
+            for name in ("items", "time_points", "levels"):
+                assert np.array_equal(getattr(got.responses, name), getattr(want.responses, name))
 
 
 class TestFit:

@@ -6,13 +6,23 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def loaded_by_import(*packages: str) -> list[str]:
+    """The modules of ``packages`` that ``import jointmix`` loads in a fresh interpreter."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import jointmix; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in sys.argv[2:])))")
+    out = subprocess.run([sys.executable, "-c", code, str(SRC), *packages], capture_output=True,
+                         text=True, check=True)
+    return out.stdout.split()
+
+
 def test_import_loads_no_scipy():
     # numpy is the package's only runtime dependency; scipy is a test extra
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import jointmix; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert loaded_by_import("scipy") == []
+
+
+def test_import_loads_no_process_pool():
+    # mc_normality imports the pool only when it starts one
+    assert loaded_by_import("multiprocessing", "concurrent") == []
 
 
 def test_star_import_binds_no_submodule():
@@ -68,8 +78,8 @@ def test_no_module_imports_a_name_it_never_reads():
 
 ORACLES = {"cum_hazard", "risk_set_tables", "risk_aggregates", "profile_hazard", "survival_loglik",
            "survival_profile_score", "efficient_score_survival", "_record_sums", "time_slot",
-           "matches", "category_probs", "ordinal_loglik", "ordinal_score", "profile_score_obs",
-           "m_step_pi", "observed_loglik"}
+           "matches", "response_counts", "category_probs", "ordinal_loglik", "ordinal_score",
+           "profile_score_obs", "m_step_pi", "observed_loglik"}
 
 
 def test_per_record_oracles_live_only_in_the_tests():

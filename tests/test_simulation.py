@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,7 +260,7 @@ class TestMcNormality:
         def replication(design, rep, config):
             return {"rep": rep, "ok": False, "error": "stub"}
 
-        monkeypatch.setattr(jointmix.simulation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(jointmix.simulation, "_run_replication", replication)
         report = mc_normality(default_design(n=40, seed=16), replications, threads=threads)
         assert built == pools
