@@ -3,7 +3,9 @@
 Data files are flat CSV (long-format ordinal responses, one-row-per-subject
 survival).  Results, designs and parameter files are JSON documents; every
 flag has a config-file equivalent, flags override the file, and a config key
-that no subcommand accepts is an input error.  Exit codes:
+that no subcommand accepts is an input error.  So is a malformed file (a
+short CSV row, a JSON document of the wrong shape) and a dataset the checks
+cannot use, such as one without events.  Exit codes:
 0 success, 1 input error, 2 non-convergence, 3 internal numeric failure.
 """
 
@@ -11,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -33,26 +37,50 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_NUMERIC = 3
 
 
-# ---------------------------------------------------------------- data files
+# ---------------------------------------------------------------- csv files
+
+def _read_csv(path: str, kind: str, columns: tuple[str, ...], convert):
+    """Yield ``convert(*values)`` for each row, the values in ``columns`` order.
+
+    A missing column, a short row or a value ``convert`` rejects with a
+    ``ValueError`` raises :class:`DataError` naming the file and the line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
+            raise DataError(f"{path}: {kind} CSV must have columns {sorted(columns)}")
+        for row in reader:
+            values = [row[c] for c in columns]
+            try:
+                if None in values:
+                    raise ValueError(f"no value for {columns[values.index(None)]!r}")
+                converted = convert(*values)
+            except ValueError as err:
+                raise DataError(f"{path}:{reader.line_num}: {err}") from None
+            yield converted
+
+
+def _write_csv(path: Path, header: list[str], rows):
+    """Write ``rows`` under ``header``, each float as its shortest round-trip repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
+
 
 def read_survival_csv(path: str):
     """Rows: subject_id, time, event, covariate.  Order of rows is kept."""
-    rows = []
     seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"subject_id", "time", "event", "covariate"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataError(f"{path}: survival CSV must have columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            sid = row["subject_id"]
-            if sid in seen:
-                raise DataError(f"{path}:{lineno}: duplicate subject_id {sid!r}")
-            seen.add(sid)
-            try:
-                rows.append((sid, float(row["time"]), int(row["event"]), float(row["covariate"])))
-            except ValueError as err:
-                raise DataError(f"{path}:{lineno}: {err}") from None
+
+    def convert(sid, time, event, covariate):
+        if sid in seen:
+            raise ValueError(f"duplicate subject_id {sid!r}")
+        seen.add(sid)
+        return sid, float(time), int(event), float(covariate)
+
+    rows = list(_read_csv(path, "survival", ("subject_id", "time", "event", "covariate"),
+                          convert))
     if not rows:
         raise DataError(f"{path}: no subjects")
     return rows
@@ -61,17 +89,9 @@ def read_survival_csv(path: str):
 def read_ordinal_csv(path: str):
     """Rows: subject_id, time_index, item, level; one row per observed cell."""
     cells: dict[str, list[tuple[int, int, int]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"subject_id", "time_index", "item", "level"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataError(f"{path}: ordinal CSV must have columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                cells.setdefault(row["subject_id"], []).append(
-                    (int(row["time_index"]), int(row["item"]), int(row["level"])))
-            except ValueError as err:
-                raise DataError(f"{path}:{lineno}: {err}") from None
+    for sid, cell in _read_csv(path, "ordinal", ("subject_id", "time_index", "item", "level"),
+                               lambda sid, *cell: (sid, tuple(map(int, cell)))):
+        cells.setdefault(sid, []).append(cell)
     return cells
 
 
@@ -94,25 +114,17 @@ def build_records(survival_rows, ordinal_cells) -> list[SubjectRecord]:
 
 
 def write_dataset_csvs(records, labels, out_dir: Path):
-    with open(out_dir / "survival.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "time", "event", "covariate"])
-        for rec in records:
-            writer.writerow([rec.subject_id, repr(rec.survival.time), rec.survival.event,
-                             repr(rec.survival.covariate)])
-    with open(out_dir / "ordinal.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "time_index", "item", "level"])
-        for rec in records:
-            resp = rec.responses
-            for item, tp, level in zip(resp.items, resp.time_points, resp.levels):
-                writer.writerow([rec.subject_id, int(tp), int(item), int(level)])
+    _write_csv(out_dir / "survival.csv", ["subject_id", "time", "event", "covariate"],
+               ([rec.subject_id, rec.survival.time, rec.survival.event, rec.survival.covariate]
+                for rec in records))
+    _write_csv(out_dir / "ordinal.csv", ["subject_id", "time_index", "item", "level"],
+               ([rec.subject_id, int(tp), int(item), int(level)]
+                for rec in records
+                for item, tp, level in zip(rec.responses.items, rec.responses.time_points,
+                                           rec.responses.levels)))
     if labels is not None:
-        with open(out_dir / "labels.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["subject_id", "group"])
-            for rec, lab in zip(records, labels):
-                writer.writerow([rec.subject_id, int(lab) + 1])
+        _write_csv(out_dir / "labels.csv", ["subject_id", "group"],
+                   ([rec.subject_id, int(lab) + 1] for rec, lab in zip(records, labels)))
 
 
 # ---------------------------------------------------------------- json docs
@@ -121,6 +133,36 @@ def write_json(path: Path, doc: dict):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def load_json(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        raise DataError(f"{path}: {err}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: the file must hold one JSON object")
+    return doc
+
+
+def _document(what: str):
+    """Make a converter raise ``DataError("bad <what> document: ...")`` for a malformed document.
+
+    A ``DataError`` the converter raises itself passes unchanged, so a nested
+    document, or an unknown distribution type, keeps its own message.
+    """
+    def decorate(convert):
+        @functools.wraps(convert)
+        def checked(doc):
+            try:
+                return convert(doc)
+            except DataError:
+                raise
+            except (KeyError, IndexError, TypeError, ValueError) as err:
+                raise DataError(f"bad {what} document: {err}") from None
+        return checked
+    return decorate
 
 
 def params_to_dict(params: ModelParams) -> dict:
@@ -134,86 +176,86 @@ def params_to_dict(params: ModelParams) -> dict:
     }
 
 
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+@_document("parameter")
 def params_from_dict(doc: dict) -> ModelParams:
-    try:
-        return ModelParams(
-            theta=np.asarray(doc["theta"], dtype=float),
-            ordinal=OrdinalParams(np.asarray(doc["a"], dtype=float),
-                                  np.asarray(doc["phi"], dtype=float),
-                                  np.asarray(doc["b"], dtype=float)),
-            survival=SurvivalParams(float(doc["delta"][0]), float(doc["delta"][1])),
-            pi=np.asarray(doc["pi"], dtype=float),
-        )
-    except (KeyError, IndexError, TypeError, ValueError) as err:
-        raise DataError(f"bad parameter document: {err}") from None
+    return ModelParams(
+        theta=_array(doc["theta"]),
+        ordinal=OrdinalParams(_array(doc["a"]), _array(doc["phi"]), _array(doc["b"])),
+        survival=SurvivalParams(float(doc["delta"][0]), float(doc["delta"][1])),
+        pi=_array(doc["pi"]),
+    )
+
+
+# For each slot of a design: JSON ``type`` -> the distribution class and a
+# conversion for each JSON key, the keys in the order of the class's fields.
+# The "normal" covariate is the string "normal" in a SimDesign, so has no entry.
+_DISTRIBUTIONS = {
+    "baseline": {"constant": (ConstantBaseline, {"rate": float}),
+                 "piecewise": (PiecewiseConstantBaseline, {"breaks": _array, "rates": _array})},
+    "censoring": {"uniform": (UniformCensoring, {"max": float}),
+                  "exponential": (ExponentialCensoring, {"rate": float}),
+                  "none": (NoCensoring, {})},
+    "covariate": {"two_point": (TwoPointCovariate, {"low": float, "high": float, "prob": float})},
+}
+
+
+def _decode(slot: str, doc, unknown: str | None = None):
+    kind = doc.get("type") if isinstance(doc, dict) else doc
+    if not (isinstance(kind, str) and kind in _DISTRIBUTIONS[slot]):
+        raise DataError(unknown or f"unknown {slot} type {kind!r}")
+    cls, fields = _DISTRIBUTIONS[slot][kind]
+    return cls(*(convert(doc[key]) for key, convert in fields.items()))
+
+
+def _encode(slot: str, value) -> dict:
+    for kind, (cls, fields) in _DISTRIBUTIONS[slot].items():
+        if isinstance(value, cls):
+            return {"type": kind, **{key: np.asarray(getattr(value, field.name)).tolist()
+                                     for key, field in zip(fields, dataclasses.fields(cls))}}
+    raise TypeError(f"no JSON form for the {slot} {value!r}")
 
 
 def baseline_from_dict(doc: dict):
-    kind = doc.get("type")
-    if kind == "constant":
-        return ConstantBaseline(float(doc["rate"]))
-    if kind == "piecewise":
-        return PiecewiseConstantBaseline(np.asarray(doc["breaks"], dtype=float),
-                                         np.asarray(doc["rates"], dtype=float))
-    raise DataError(f"unknown baseline type {kind!r}")
+    return _decode("baseline", doc)
 
 
 def baseline_to_dict(baseline) -> dict:
-    if isinstance(baseline, ConstantBaseline):
-        return {"type": "constant", "rate": baseline.rate}
-    return {"type": "piecewise", "breaks": baseline.breaks.tolist(),
-            "rates": baseline.rates.tolist()}
+    return _encode("baseline", baseline)
 
 
 def censoring_from_dict(doc: dict):
-    kind = doc.get("type")
-    if kind == "uniform":
-        return UniformCensoring(float(doc["max"]))
-    if kind == "exponential":
-        return ExponentialCensoring(float(doc["rate"]))
-    if kind == "none":
-        return NoCensoring()
-    raise DataError(f"unknown censoring type {kind!r}")
+    return _decode("censoring", doc)
 
 
 def censoring_to_dict(censoring) -> dict:
-    if isinstance(censoring, UniformCensoring):
-        return {"type": "uniform", "max": censoring.upper}
-    if isinstance(censoring, ExponentialCensoring):
-        return {"type": "exponential", "rate": censoring.rate}
-    return {"type": "none"}
+    return _encode("censoring", censoring)
 
 
 def covariate_from_dict(doc) -> str | TwoPointCovariate:
-    if doc == "normal" or doc is None or doc == {"type": "normal"}:
+    if doc in ("normal", None, {"type": "normal"}):
         return "normal"
-    if isinstance(doc, dict) and doc.get("type") == "two_point":
-        return TwoPointCovariate(float(doc["low"]), float(doc["high"]), float(doc["prob"]))
-    raise DataError(f"unknown covariate distribution {doc!r}")
+    return _decode("covariate", doc, f"unknown covariate distribution {doc!r}")
 
 
 def covariate_to_dict(covariate):
-    if isinstance(covariate, str):
-        return {"type": "normal"}
-    return {"type": "two_point", "low": covariate.low, "high": covariate.high,
-            "prob": covariate.prob}
+    return {"type": "normal"} if isinstance(covariate, str) else _encode("covariate", covariate)
 
 
+@_document("design")
 def design_from_dict(doc: dict) -> SimDesign:
-    try:
-        return SimDesign(
-            n=int(doc["n"]),
-            params=params_from_dict(doc["params"]),
-            n_time_points=int(doc["time_points"]),
-            baseline=baseline_from_dict(doc["baseline"]),
-            censoring=censoring_from_dict(doc["censoring"]),
-            covariate=covariate_from_dict(doc.get("covariate")),
-            seed=int(doc.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        if isinstance(err, DataError):
-            raise
-        raise DataError(f"bad design document: {err}") from None
+    return SimDesign(
+        n=int(doc["n"]),
+        params=params_from_dict(doc["params"]),
+        n_time_points=int(doc["time_points"]),
+        baseline=baseline_from_dict(doc["baseline"]),
+        censoring=censoring_from_dict(doc["censoring"]),
+        covariate=covariate_from_dict(doc.get("covariate")),
+        seed=int(doc.get("seed", 0)),
+    )
 
 
 def design_to_dict(design: SimDesign) -> dict:
@@ -228,43 +270,30 @@ def design_to_dict(design: SimDesign) -> dict:
     }
 
 
-def load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise DataError(f"{path}: {err}") from None
+@_document("parameter")
+def _params_and_baseline(doc: dict):
+    """The parameters and true baseline of a ``check --params`` document."""
+    params = params_from_dict(doc.get("params", doc))
+    baseline_doc = doc.get("baseline") or doc.get("params", {}).get("baseline")
+    if baseline_doc is None:
+        raise DataError("params file must include the true baseline for the checks")
+    return params, baseline_from_dict(baseline_doc)
 
 
 # ---------------------------------------------------------------- fit output
-
-def _write_matrix_csv(path: Path, header: list[str], matrix: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in np.atleast_2d(matrix):
-            writer.writerow([repr(float(v)) for v in row])
-
 
 def write_fit_artifacts(fit, records, out_dir: Path):
     names = list(fit.param_names)
     layout_est = ParamLayout(fit.params.n_groups, fit.params.n_levels, fit.params.n_items)
     estimates = layout_est.pack(fit.params)
-    with open(out_dir / "estimates.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "estimate", "std_error"])
-        for name, est, se in zip(names, estimates, fit.std_errors):
-            writer.writerow([name, repr(float(est)), repr(float(se))])
-    _write_matrix_csv(out_dir / "info_matrix.csv", names, fit.info_matrix)
-    _write_matrix_csv(out_dir / "hazard.csv", ["time", "jump"],
-                      np.column_stack([fit.hazard.times, fit.hazard.jumps]))
-    with open(out_dir / "gamma.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id"] + [f"group{r + 1}" for r in range(fit.params.n_groups)])
-        for rec, row in zip(records, fit.posterior.gamma):
-            writer.writerow([rec.subject_id] + [repr(float(v)) for v in row])
-    _write_matrix_csv(out_dir / "loglik_trace.csv", ["loglik"],
-                      fit.loglik_trace.reshape(-1, 1))
+    _write_csv(out_dir / "estimates.csv", ["parameter", "estimate", "std_error"],
+               zip(names, estimates, fit.std_errors))
+    _write_csv(out_dir / "info_matrix.csv", names, fit.info_matrix)
+    _write_csv(out_dir / "hazard.csv", ["time", "jump"], zip(fit.hazard.times, fit.hazard.jumps))
+    _write_csv(out_dir / "gamma.csv",
+               ["subject_id"] + [f"group{r + 1}" for r in range(fit.params.n_groups)],
+               ([rec.subject_id, *row] for rec, row in zip(records, fit.posterior.gamma)))
+    _write_csv(out_dir / "loglik_trace.csv", ["loglik"], fit.loglik_trace.reshape(-1, 1))
     write_json(out_dir / "result.json", {
         "converged": fit.converged,
         "n_iter": fit.n_iter,
@@ -282,16 +311,34 @@ def write_fit_artifacts(fit, records, out_dir: Path):
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_fit(args) -> int:
-    records = build_records(read_survival_csv(args.survival_csv),
-                            read_ordinal_csv(args.ordinal_csv))
-    config = EMConfig(tol_loglik=args.tol_loglik, tol_param=args.tol_param,
-                      max_iter=args.max_iter, n_restarts=args.restarts, seed=args.seed)
-    fit = em_fit(records, args.groups, config,
-                 n_levels=args.levels, n_items=args.items)
+def _read_records(args) -> list[SubjectRecord]:
+    return build_records(read_survival_csv(args.survival_csv), read_ordinal_csv(args.ordinal_csv))
+
+
+def _load_design(args) -> SimDesign:
+    doc = load_json(args.design)
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    return design_from_dict(doc)
+
+
+def _em_config(args) -> EMConfig:
+    # mc's --seed defaults to None, which keeps the design's seed and EM seed 0
+    return EMConfig(tol_loglik=args.tol_loglik, tol_param=args.tol_param,
+                    max_iter=args.max_iter, n_restarts=args.restarts, seed=args.seed or 0)
+
+
+def _out_dir(args) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_fit_artifacts(fit, records, out_dir)
+    return out_dir
+
+
+def _cmd_fit(args) -> int:
+    records = _read_records(args)
+    fit = em_fit(records, args.groups, _em_config(args),
+                 n_levels=args.levels, n_items=args.items)
+    write_fit_artifacts(fit, records, _out_dir(args))
     if not fit.converged:
         print("fit did not converge; artifacts written", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -300,13 +347,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    doc = load_json(args.design)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    design = design_from_dict(doc)
+    design = _load_design(args)
     records, labels = generate_dataset(design)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     write_dataset_csvs(records, labels, out_dir)
     truth = design_to_dict(design)
     truth["params"]["baseline"] = truth["baseline"]
@@ -316,24 +359,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    doc = load_json(args.design)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    design = design_from_dict(doc)
-    config = EMConfig(tol_loglik=args.tol_loglik, tol_param=args.tol_param,
-                      max_iter=args.max_iter, n_restarts=args.restarts, seed=args.seed or 0)
-    report = mc_normality(design, args.replications, config, threads=args.threads)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    report = mc_normality(_load_design(args), args.replications, _em_config(args),
+                          threads=args.threads)
+    out_dir = _out_dir(args)
     write_json(out_dir / "mc_report.json", report.to_dict())
-    with open(out_dir / "replications.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replication", "converged", "error"] + list(report.param_names)
-                        + [f"se_{n}" for n in report.param_names])
-        for rep in range(report.n_replications):
-            writer.writerow([rep, int(report.rep_converged[rep]), report.rep_errors[rep]]
-                            + [repr(float(v)) for v in report.estimates[rep]]
-                            + [repr(float(v)) for v in report.std_errors[rep]])
+    _write_csv(out_dir / "replications.csv",
+               ["replication", "converged", "error"] + list(report.param_names)
+               + [f"se_{n}" for n in report.param_names],
+               ([rep, int(converged), error, *est, *se]
+                for rep, (converged, error, est, se) in enumerate(zip(
+                    report.rep_converged, report.rep_errors, report.estimates, report.std_errors))))
     if report.failure_flag:
         print(f"warning: {report.n_failures}/{report.n_replications} replications failed",
               file=sys.stderr)
@@ -342,14 +377,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    records = build_records(read_survival_csv(args.survival_csv),
-                            read_ordinal_csv(args.ordinal_csv))
-    doc = load_json(args.params)
-    params = params_from_dict(doc.get("params", doc))
-    baseline_doc = doc.get("baseline") or doc.get("params", {}).get("baseline")
-    if baseline_doc is None:
-        raise DataError("params file must include the true baseline for the checks")
-    baseline = baseline_from_dict(baseline_doc)
+    records = _read_records(args)
+    params, baseline = _params_and_baseline(load_json(args.params))
 
     packed = PackedData(records, params.n_levels, params.n_items)
     gamma, tables = _inference.fixed_point_posterior(packed, params)
@@ -385,9 +414,7 @@ def _cmd_check(args) -> int:
             "pass": bool(identity.rel_frobenius_gap < 0.05),
         },
     }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "checks.json", checks)
+    write_json(_out_dir(args) / "checks.json", checks)
     for name, rec in checks.items():
         print(f"{name}: {'pass' if rec['pass'] else 'FAIL'}")
     return EXIT_OK
@@ -395,15 +422,13 @@ def _cmd_check(args) -> int:
 
 # ---------------------------------------------------------------- arg parsing
 
-def _add_fit_flags(parser):
-    parser.add_argument("--groups", type=int, default=2, help="number of latent groups R")
-    parser.add_argument("--tol-loglik", dest="tol_loglik", type=float, default=1e-8)
-    parser.add_argument("--tol-param", dest="tol_param", type=float, default=1e-6)
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=500)
-    parser.add_argument("--restarts", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--levels", type=int, default=None, help="number of response levels L")
-    parser.add_argument("--items", type=int, default=None, help="number of items J")
+def _add_em_flags(parser, restarts: int, seed: int | None):
+    parser.add_argument("--tol-loglik", dest="tol_loglik", type=float,
+                        default=EMConfig.tol_loglik)
+    parser.add_argument("--tol-param", dest="tol_param", type=float, default=EMConfig.tol_param)
+    parser.add_argument("--max-iter", dest="max_iter", type=int, default=EMConfig.max_iter)
+    parser.add_argument("--restarts", type=int, default=restarts)
+    parser.add_argument("--seed", type=int, default=seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,7 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit the model to ordinal + survival CSVs")
     p_fit.add_argument("ordinal_csv")
     p_fit.add_argument("survival_csv")
-    _add_fit_flags(p_fit)
+    p_fit.add_argument("--groups", type=int, default=2, help="number of latent groups R")
+    _add_em_flags(p_fit, restarts=EMConfig.n_restarts, seed=EMConfig.seed)
+    p_fit.add_argument("--levels", type=int, default=None, help="number of response levels L")
+    p_fit.add_argument("--items", type=int, default=None, help="number of items J")
     p_fit.add_argument("--out", default="fit_out")
     p_fit.set_defaults(func=_cmd_fit)
 
@@ -429,11 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc", help="Monte Carlo coverage study for a design")
     p_mc.add_argument("design")
     p_mc.add_argument("--replications", type=int, default=100)
-    p_mc.add_argument("--tol-loglik", dest="tol_loglik", type=float, default=1e-8)
-    p_mc.add_argument("--tol-param", dest="tol_param", type=float, default=1e-6)
-    p_mc.add_argument("--max-iter", dest="max_iter", type=int, default=500)
-    p_mc.add_argument("--restarts", type=int, default=2)
-    p_mc.add_argument("--seed", type=int, default=None)
+    _add_em_flags(p_mc, restarts=2, seed=None)
     p_mc.add_argument("--out", default="mc_out")
     p_mc.add_argument("--threads", type=int, default=1)
     p_mc.set_defaults(func=_cmd_mc)
@@ -448,35 +472,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_config(parser, path: str):
+    """Make the keys of the config file the defaults of the subcommands that take them."""
+    defaults = load_json(path)
+    dests = {sp: {a.dest for a in sp._actions} for sp in parser._jointmix_subparsers.values()}
+    unknown = sorted(set(defaults) - (set().union(*dests.values()) - {"help"}))
+    if unknown:
+        raise DataError(f"{path}: no subcommand accepts the keys {unknown}")
+    for subparser, accepted in dests.items():
+        subparser.set_defaults(**{k: v for k, v in defaults.items() if k in accepted})
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # two-phase parse so --config supplies defaults that flags override
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
-    if known.config:
-        subparsers = parser._jointmix_subparsers.values()
-        accepted = {a.dest for sp in subparsers for a in sp._actions} - {"help"}
-        try:
-            defaults = load_json(known.config)
-            if not isinstance(defaults, dict):
-                raise DataError(f"{known.config}: a config file holds one JSON object")
-            unknown = sorted(set(defaults) - accepted)
-            if unknown:
-                raise DataError(f"{known.config}: no subcommand accepts the keys {unknown}")
-        except DataError as err:
-            print(f"input error: {err}", file=sys.stderr)
-            return EXIT_INPUT
-        for subparser in subparsers:
-            dests = {a.dest for a in subparser._actions}
-            subparser.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else 0
-    try:
+        if args.config:  # parse again, so that explicit flags override the file
+            _apply_config(parser, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's exit after --help or a usage error
+        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     except DataError as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ordinal as _ordinal
 from . import survival as _survival
-from .data import PackedData
+from .data import DataError, PackedData
 from .likelihood import (_CollapsedQ, _gamma_of, _observed_loglik, _posterior_matrix,
                          _posterior_parts)
 from .params import ModelParams, ParamLayout
@@ -310,7 +310,7 @@ def default_directions(data) -> list[float]:
     packed = PackedData.coerce(data)
     event_times = packed.times[packed.events > 0]
     if event_times.size == 0:
-        raise ValueError("no events in the dataset")
+        raise DataError("no events in the dataset")
     cuts = np.quantile(event_times, _DIRECTION_QUANTILES)
     return [np.inf] + [float(c) for c in cuts]
 
@@ -423,7 +423,7 @@ def contraction_check(data, params: ModelParams, hazard: HazardSteps) -> Contrac
     t_max = float(packed.times.max())
     mass = float(hazard.cum(t_max))
     if mass <= 0:
-        raise ValueError("total hazard mass on (0, t_max] is zero; bound undefined")
+        raise DataError("total hazard mass on (0, t_max] is zero; bound undefined")
     gamma = _posterior_matrix(packed, params, hazard)
     e = np.exp(_survival.linear_predictors(params.theta, params.survival, packed.covariates))
     avg = (gamma * e) @ np.ones(params.n_groups)

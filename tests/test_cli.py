@@ -1,11 +1,18 @@
+import csv
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jointmix.cli import (EXIT_INPUT, build_records, main, read_ordinal_csv, read_survival_csv,
-                          write_dataset_csvs)
+from jointmix import default_design
+from jointmix.cli import (EXIT_INPUT, build_records, design_from_dict, design_to_dict, main,
+                          read_ordinal_csv, read_survival_csv, write_dataset_csvs)
+from jointmix.data import DataError
+from jointmix.simulation import (ConstantBaseline, ExponentialCensoring, NoCensoring,
+                                 PiecewiseConstantBaseline, TwoPointCovariate, UniformCensoring)
 
 from conftest import make_subject
 
@@ -59,6 +66,49 @@ class TestSimulate:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 10}))
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+def assert_field_equal(got, want):
+    assert type(got) is type(want)
+    if dataclasses.is_dataclass(want):
+        for field in dataclasses.fields(want):
+            assert_field_equal(getattr(got, field.name), getattr(want, field.name))
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+class TestDesignCodec:
+    @pytest.mark.parametrize("slot, value, doc", [
+        ("baseline", ConstantBaseline(0.1), {"type": "constant", "rate": 0.1}),
+        ("baseline", PiecewiseConstantBaseline(np.array([1.0, 3.0]), np.array([0.1, 0.2, 0.3])),
+         {"type": "piecewise", "breaks": [1.0, 3.0], "rates": [0.1, 0.2, 0.3]}),
+        ("censoring", UniformCensoring(32.0), {"type": "uniform", "max": 32.0}),
+        ("censoring", ExponentialCensoring(0.05), {"type": "exponential", "rate": 0.05}),
+        ("censoring", NoCensoring(), {"type": "none"}),
+        ("covariate", "normal", {"type": "normal"}),
+        ("covariate", TwoPointCovariate(-0.5, 1.5, 0.4),
+         {"type": "two_point", "low": -0.5, "high": 1.5, "prob": 0.4}),
+    ], ids=["constant", "piecewise", "uniform", "exponential", "none", "normal", "two_point"])
+    def test_every_distribution_round_trips(self, slot, value, doc):
+        design = dataclasses.replace(default_design(n=40, seed=3), **{slot: value})
+        text = json.dumps(design_to_dict(design), indent=2, sort_keys=True)
+        assert json.loads(text)[slot] == doc
+        back = design_from_dict(json.loads(text))
+        assert_field_equal(back, design)
+        assert json.dumps(design_to_dict(back), indent=2, sort_keys=True) == text
+
+    @pytest.mark.parametrize("slot, message", [
+        ("baseline", "unknown baseline type 'x'"),
+        ("censoring", "unknown censoring type 'x'"),
+        ("covariate", "unknown covariate distribution {'type': 'x'}"),
+    ])
+    def test_an_unknown_type_is_named(self, slot, message):
+        doc = design_to_dict(default_design(n=40))
+        doc[slot] = {"type": "x"}
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            design_from_dict(doc)
 
 
 class TestDatasetCsvs:
@@ -128,6 +178,22 @@ class TestFit:
                      "--out", str(tmp_path / "out")])
         assert code == 1
 
+    @pytest.mark.parametrize("name, short_row", [("survival.csv", "zz,2.0"),
+                                                 ("ordinal.csv", "1,1")])
+    def test_a_short_row_exits_1_naming_the_line(self, sim_dir, tmp_path, capsys,
+                                                 name, short_row):
+        lines = (sim_dir / name).read_text().splitlines()
+        (tmp_path / name).write_text("\n".join(lines[:3] + [short_row]) + "\n")
+        files = {n: str(tmp_path / n if n == name else sim_dir / n)
+                 for n in ("ordinal.csv", "survival.csv")}
+        code = main(["fit", files["ordinal.csv"], files["survival.csv"],
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert f"{tmp_path / name}:4: " in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_supplies_defaults(self, sim_dir, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"max_iter": 1, "restarts": 1}))
@@ -165,6 +231,10 @@ class TestFit:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_a_config_flag_without_a_file_exits_1(self, capsys):
+        assert main(["--config"]) == EXIT_INPUT
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_config_keys_of_another_subcommand_are_allowed(self, sim_dir, tmp_path):
         # threads and replications belong to mc; fit ignores them
@@ -250,3 +320,32 @@ class TestCheck:
                      "--survival", str(sim_dir / "survival.csv"),
                      "--params", str(path), "--out", str(tmp_path / "checks")])
         assert code == 1
+
+    def check(self, sim_dir, tmp_path, params, survival=None):
+        return main(["check", "--ordinal", str(sim_dir / "ordinal.csv"),
+                     "--survival", str(survival or sim_dir / "survival.csv"),
+                     "--params", str(params), "--out", str(tmp_path / "checks")])
+
+    @pytest.mark.parametrize("malformed", ["array", "baseline-without-rate"])
+    def test_a_malformed_params_document_exits_1(self, sim_dir, tmp_path, capsys, malformed):
+        doc = json.loads((sim_dir / "truth.json").read_text())
+        if malformed == "array":
+            doc = [1, 2]
+        else:
+            del doc["baseline"]["rate"], doc["params"]["baseline"]["rate"]
+        (tmp_path / "params.json").write_text(json.dumps(doc))
+        assert self.check(sim_dir, tmp_path, tmp_path / "params.json") == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert not (tmp_path / "checks").exists()
+
+    def test_a_dataset_without_events_exits_1(self, sim_dir, tmp_path, capsys):
+        with open(sim_dir / "survival.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(tmp_path / "survival.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows([dict(row, event="0") for row in rows])
+        code = self.check(sim_dir, tmp_path, sim_dir / "truth.json", tmp_path / "survival.csv")
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert not (tmp_path / "checks").exists()

@@ -1,6 +1,7 @@
 import functools
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -374,6 +375,17 @@ class TestContraction:
         empty = HazardSteps(np.array([0.5]), np.array([0.0]))
         with pytest.raises(ValueError):
             contraction_check(records, params, empty)
+
+    def test_a_dataset_without_events_is_a_data_error(self):
+        # so that the check command reports it as an input error
+        params, records, _ = dataset_and_gamma(72, n=5)
+        censored = PackedData([replace(r, survival=replace(r.survival, event=0)) for r in records],
+                              params.n_levels, params.n_items)
+        _, tables = fixed_point_posterior(censored, params)
+        with pytest.raises(DataError, match="total hazard mass"):
+            contraction_check(censored, params, tables.hazard_steps())
+        with pytest.raises(DataError, match="no events in the dataset"):
+            default_directions(censored)
 
 
 def fixed_point_oracle(packed, params, gamma0=None, tol=1e-12, max_iter=500):
