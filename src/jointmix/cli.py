@@ -219,30 +219,11 @@ def _encode(slot: str, value) -> dict:
     raise TypeError(f"no JSON form for the {slot} {value!r}")
 
 
-def baseline_from_dict(doc: dict):
-    return _decode("baseline", doc)
-
-
-def baseline_to_dict(baseline) -> dict:
-    return _encode("baseline", baseline)
-
-
-def censoring_from_dict(doc: dict):
-    return _decode("censoring", doc)
-
-
-def censoring_to_dict(censoring) -> dict:
-    return _encode("censoring", censoring)
-
-
-def covariate_from_dict(doc) -> str | TwoPointCovariate:
+def _decode_covariate(doc) -> str | TwoPointCovariate:
+    """A design's covariate: "normal" (also when the key is absent) or a typed distribution."""
     if doc in ("normal", None, {"type": "normal"}):
         return "normal"
     return _decode("covariate", doc, f"unknown covariate distribution {doc!r}")
-
-
-def covariate_to_dict(covariate):
-    return {"type": "normal"} if isinstance(covariate, str) else _encode("covariate", covariate)
 
 
 @_document("design")
@@ -251,9 +232,9 @@ def design_from_dict(doc: dict) -> SimDesign:
         n=int(doc["n"]),
         params=params_from_dict(doc["params"]),
         n_time_points=int(doc["time_points"]),
-        baseline=baseline_from_dict(doc["baseline"]),
-        censoring=censoring_from_dict(doc["censoring"]),
-        covariate=covariate_from_dict(doc.get("covariate")),
+        baseline=_decode("baseline", doc["baseline"]),
+        censoring=_decode("censoring", doc["censoring"]),
+        covariate=_decode_covariate(doc.get("covariate")),
         seed=int(doc.get("seed", 0)),
     )
 
@@ -263,9 +244,10 @@ def design_to_dict(design: SimDesign) -> dict:
         "n": design.n,
         "params": params_to_dict(design.params),
         "time_points": design.n_time_points,
-        "baseline": baseline_to_dict(design.baseline),
-        "censoring": censoring_to_dict(design.censoring),
-        "covariate": covariate_to_dict(design.covariate),
+        "baseline": _encode("baseline", design.baseline),
+        "censoring": _encode("censoring", design.censoring),
+        "covariate": ({"type": "normal"} if isinstance(design.covariate, str)
+                      else _encode("covariate", design.covariate)),
         "seed": design.seed,
     }
 
@@ -277,7 +259,7 @@ def _params_and_baseline(doc: dict):
     baseline_doc = doc.get("baseline") or doc.get("params", {}).get("baseline")
     if baseline_doc is None:
         raise DataError("params file must include the true baseline for the checks")
-    return params, baseline_from_dict(baseline_doc)
+    return params, _decode("baseline", baseline_doc)
 
 
 # ---------------------------------------------------------------- fit output

@@ -135,6 +135,8 @@ class FitResult:
     responsibilities are not stored: :attr:`posterior` is the E-step at
     ``(params, hazard)`` on ``packed``, computed on first read and then kept,
     so a fit that is only kept for its parameters holds no (n, R) array.
+    ``hazard`` is profiled from the fit's responsibilities, so the posterior
+    is exactly one fixed-point step from them.
     ``diagnostics`` says why a fit is not converged, e.g. "no converged restart;
     best status: aborted: <type>: <message>", and notes singular information.
     """
@@ -163,7 +165,15 @@ class FitResult:
 # ------------------------------------------------------------ EM building blocks
 
 def e_step(data, params: ModelParams, hazard) -> Posterior:
-    """Responsibilities at the current parameters and profiled hazard."""
+    """Responsibilities at ``params`` and ``hazard``: one step of the fixed-point map.
+
+    ``hazard`` is a :class:`RiskSetTables`, a :class:`HazardSteps` or any
+    object with a ``cum(t)`` method, such as a simulation baseline.  Only its
+    cumulative hazard at each subject's time is read: the event log-jump is
+    the same in every group and cancels, so a zero jump at an event time is
+    no error here.  At the tables profiled from responsibilities gamma, this
+    is :func:`inference._solve_fixed_point`'s first step from gamma, to the bit.
+    """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
     return Posterior(_posterior_matrix(packed, params, hazard))
 

@@ -14,8 +14,8 @@ import numpy as np
 from . import ordinal as _ordinal
 from . import survival as _survival
 from .data import DataError, PackedData
-from .likelihood import (_CollapsedQ, _gamma_of, _observed_loglik, _posterior_matrix,
-                         _posterior_parts)
+from .likelihood import (_CollapsedQ, _fixed_terms, _gamma_of, _observed_loglik,
+                         _posterior_matrix, _posterior_parts)
 from .params import ModelParams, ParamLayout
 from .survival import HazardSteps, RiskSetTables, SurvivalParams
 
@@ -151,10 +151,13 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
     hazard, so the two describe one point exactly.
 
     The ordinal log-likelihoods, d_i lp_ir, log pi_r and exp(lp_ir) do not
-    change while the parameters are fixed, so they are formed once; each
-    step takes the risk-set totals at the event times and the cumulative
-    hazard at each subject only, from :func:`survival.breslow_steps` and the
-    event-time constants :class:`~jointmix.data.PackedData` holds.  No step
+    change while the parameters are fixed, so they are formed once, by
+    :func:`likelihood._fixed_terms`.  Each step is the E-step of
+    :func:`likelihood._posterior_matrix` at the hazard profiled from the
+    previous responsibilities, and takes the risk-set totals at the event
+    times and the cumulative hazard at each subject only, from
+    :func:`survival.breslow_steps` and the event-time constants
+    :class:`~jointmix.data.PackedData` holds.  No step
     takes a logarithm: the observed log-likelihood is formed once, after the
     last step, from that step's row maxima and row totals.  The event term
     d_i log dLambda(T_i) is the same in every group and cancels from the
@@ -173,12 +176,8 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    theta, delta = params.theta, params.survival
-    lp = _survival.linear_predictors(theta, delta, packed.covariates)
-    e = np.exp(lp)
-    fixed = (_ordinal.loglik_matrix(packed, params.ordinal, theta)
-             + packed.events[:, None] * lp + np.log(params.pi)[None, :])
-    ones = np.ones(theta.size)
+    fixed, e = _fixed_terms(packed, params)
+    ones = np.ones(params.n_groups)
     gamma = (np.tile(params.pi[:, None], packed.n).T if gamma0 is None
              else np.array(gamma0, dtype=float, order="F"))
     converged = False
@@ -266,7 +265,9 @@ def info_identity_check(data, params: ModelParams) -> IdentityCheck:
     minus side's fixed point lies to first order in the step.  The
     outer-product information is ``information_matrix`` at gamma*.  The
     per-coordinate step is ``_IDENTITY_STEP * max(1, |coordinate|)``.  Warns
-    when a fixed point does not converge.
+    when a fixed point does not converge.  Raises :class:`DataError`, a
+    ``ValueError``, when a step leaves the parameter space, as it does from a
+    phi tied at a boundary.
     """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
@@ -281,7 +282,7 @@ def info_identity_check(data, params: ModelParams) -> IdentityCheck:
         try:
             return layout.unpack(x, params.pi)
         except ValueError as err:
-            raise ValueError(f"cannot perturb coordinate {layout.names[c]}: {err}") from err
+            raise DataError(f"cannot perturb coordinate {layout.names[c]}: {err}") from err
 
     jac = np.empty((layout.n_free, layout.n_free))
     for c in range(layout.n_free):
@@ -325,18 +326,6 @@ class DirectionStat:
     max_abs_ratio: float
 
 
-def true_posterior(data, params: ModelParams, baseline) -> np.ndarray:
-    """Responsibilities under a known (continuous) baseline cumulative hazard.
-
-    The baseline density lambda(T) is common to all groups and cancels from
-    the ratio, so a unit jump at every data time stands in for it and only
-    d * lp - Lambda(T) exp(lp) enters the survival part.
-    """
-    packed = PackedData.coerce(data, params.n_levels, params.n_items)
-    steps = (np.ones(packed.n_times), np.asarray(baseline.cum(packed.distinct_times), dtype=float))
-    return _posterior_matrix(packed, params, steps)
-
-
 def orthogonality_check(data, params: ModelParams, directions, baseline) -> list[DirectionStat]:
     """Empirical covariance between the efficient score and nuisance directions.
 
@@ -349,12 +338,17 @@ def orthogonality_check(data, params: ModelParams, directions, baseline) -> list
     per-coordinate mean of score * Bh with its Monte Carlo standard error;
     the means should vanish at the true parameters.  The stats are named
     "constant 1" for ``inf`` and "1[0, c]" otherwise.
+
+    ``baseline`` is any object with a ``cum(t)`` method: a simulation
+    baseline or a :class:`HazardSteps`.  The responsibilities are the E-step
+    at it (:func:`likelihood._posterior_matrix`), which reads only the
+    cumulative hazard, so a continuous baseline needs no jumps.
     """
     cutoffs = np.asarray(directions, dtype=float)
     if not np.all(cutoffs >= 0):
         raise ValueError("direction cutoffs must be nonnegative, not NaN")
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
-    gamma = true_posterior(packed, params, baseline)
+    gamma = _posterior_matrix(packed, params, baseline)
     tables = RiskSetTables(packed, gamma, params.theta, params.survival)
     surv = _survival.efficient_scores(packed, gamma, baseline, tables)
     scores = _assemble_scores(packed, params, gamma, surv)

@@ -1,8 +1,14 @@
 """Mixture likelihood core shared by the EM loop and the inference layer.
 
-Builds the (n, R) matrix log pi_r + log P(Y_i | r) + log P(T_i, d_i | r) and
-the responsibilities it implies.  The hazard may take any form that
-:func:`survival.loglik_matrix` accepts.
+:func:`_fixed_terms` forms the part of the (n, R) mixture log-likelihood
+matrix that does not change while the parameters are fixed, log pi_r +
+log P(Y_i | r) + d_i lp_ir, with exp(lp_ir); it is the only place those terms
+are formed.  One E-step is one step of the responsibility/Breslow-hazard map:
+:func:`_posterior_parts` applied to those terms less Lambda(T_i) exp(lp_ir).
+The event log-jump d_i log dLambda(T_i) is the same in every group and cancels
+from the responsibilities, so an E-step reads only the cumulative hazard.
+:func:`_posterior_matrix` is that step at a given hazard and
+:func:`inference._solve_fixed_point` iterates it.
 
 :class:`_CollapsedQ` is the expected complete-data objective Q for fixed
 responsibilities, with the hazard profiled out, and its gradient in natural
@@ -32,11 +38,19 @@ def _gamma_of(posterior) -> np.ndarray:
     return np.asarray(getattr(posterior, "gamma", posterior), dtype=float)
 
 
-def _loglik_components(packed: PackedData, params: ModelParams, hazard) -> np.ndarray:
-    """log pi_r + log P(Y_i | r) + log P(T_i, d_i | r) as an (n, R) matrix."""
-    ll = _ordinal.loglik_matrix(packed, params.ordinal, params.theta)
-    ll += _survival.loglik_matrix(packed, hazard, params.theta, params.survival)
-    return ll + np.log(params.pi)[None, :]
+def _fixed_terms(packed: PackedData, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """``(fixed, e)``: log pi_r + log P(Y_i | r) + d_i lp_ir, and exp(lp_ir).
+
+    Both are column-major (n, R) arrays, as the linear predictors and the
+    ordinal log-likelihoods are.  At a hazard with cumulative Lambda, the
+    mixture log-likelihood matrix is ``fixed - Lambda(T_i) e`` plus the event
+    term d_i log dLambda(T_i), which is the same in every group.
+    """
+    theta, delta = params.theta, params.survival
+    lp = _survival.linear_predictors(theta, delta, packed.covariates)
+    fixed = (_ordinal.loglik_matrix(packed, params.ordinal, theta)
+             + packed.events[:, None] * lp + np.log(params.pi)[None, :])
+    return fixed, np.exp(lp)
 
 
 def _posterior_parts(packed: PackedData, comp: np.ndarray) -> tuple[np.ndarray, np.ndarray,
@@ -69,7 +83,18 @@ def _observed_loglik(rowmax: np.ndarray, total: np.ndarray) -> float:
 
 
 def _posterior_matrix(packed: PackedData, params: ModelParams, hazard) -> np.ndarray:
-    return _posterior_parts(packed, _loglik_components(packed, params, hazard))[2]
+    """Responsibilities at ``hazard``: one step of the fixed-point map at that hazard.
+
+    ``hazard`` is a :class:`survival.RiskSetTables` or any object with a
+    ``cum(t)`` method, such as a :class:`survival.HazardSteps` or a simulation
+    baseline; only its cumulative hazard at each T_i is read
+    (:func:`survival._grid_cum`).  At the tables profiled from some
+    responsibilities, this is :func:`inference._solve_fixed_point`'s step from
+    them, to the bit.
+    """
+    fixed, e = _fixed_terms(packed, params)
+    cum_at = _survival._grid_cum(packed, hazard)[packed.time_index]
+    return _posterior_parts(packed, fixed - cum_at[:, None] * e)[2]
 
 
 class _CollapsedQ:

@@ -170,31 +170,46 @@ class RiskSetTables:
         return HazardSteps(self.times, self.jumps)
 
 
-def _grid_steps(packed: PackedData, hazard) -> tuple[np.ndarray, np.ndarray]:
-    """``(jumps, cum)`` on the packed distinct-time grid for any hazard form.
+def _grid_cum(packed: PackedData, hazard) -> np.ndarray:
+    """Cumulative hazard at the packed distinct times.
 
-    A :class:`HazardSteps` contributes a zero jump at every data time where
-    it has none; its cumulative hazard is read at the data times.
+    ``hazard`` is a :class:`RiskSetTables`, whose jumps lie on that grid and
+    are summed, or any object with a ``cum(t)`` method, read at the data
+    times: a :class:`HazardSteps` or a simulation baseline.
     """
     if isinstance(hazard, RiskSetTables):
-        return hazard.jumps, np.cumsum(hazard.jumps)
-    if not isinstance(hazard, HazardSteps):
-        return hazard
+        return np.cumsum(hazard.jumps)
+    return np.asarray(hazard.cum(packed.distinct_times), dtype=float)
+
+
+def _grid_steps(packed: PackedData, hazard) -> tuple[np.ndarray, np.ndarray]:
+    """``(jumps, cum)`` on the packed distinct-time grid.
+
+    ``hazard`` is a :class:`RiskSetTables` or a :class:`HazardSteps`; the
+    cumulative hazard is :func:`_grid_cum`'s.  A :class:`HazardSteps`
+    contributes a zero jump at every data time where it has none.
+    """
+    cum = _grid_cum(packed, hazard)
+    if isinstance(hazard, RiskSetTables):
+        return hazard.jumps, cum
     times = packed.distinct_times
     jumps = np.zeros(times.size)
     if hazard.times.size:
         idx = np.minimum(np.searchsorted(hazard.times, times), hazard.times.size - 1)
         hit = hazard.times[idx] == times
         jumps[hit] = hazard.jumps[idx[hit]]
-    return jumps, hazard.cum(times)
+    return jumps, cum
 
 
 def loglik_matrix(packed: PackedData, tables, theta: np.ndarray,
                   delta: SurvivalParams) -> np.ndarray:
     """Per-subject, per-group survival log-likelihoods as an (n, R) matrix.
 
-    ``tables`` is a :class:`RiskSetTables`, a :class:`HazardSteps` or a
-    ``(jumps, cum)`` pair on the packed distinct-time grid.
+    ``tables`` is a :class:`RiskSetTables` or a :class:`HazardSteps`
+    (:func:`_grid_steps`).  Raises :class:`InvalidHazardError`, naming the
+    subject, when an event falls at a time with no positive jump.  The
+    posterior does not come from here: the event term cancels from it, and
+    :func:`likelihood._posterior_matrix` reads the cumulative hazard only.
     """
     jumps, cum = _grid_steps(packed, tables)
     lp = linear_predictors(theta, delta, packed.covariates)

@@ -19,12 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from jointmix.data import DataError, PackedData, ResponseSet, SubjectRecord, SurvivalRecord
-from jointmix.likelihood import (DegenerateSubjectError, _gamma_of, _loglik_components,
-                                 _observed_loglik, _posterior_parts)
+from jointmix.likelihood import (DegenerateSubjectError, _gamma_of, _observed_loglik,
+                                 _posterior_parts)
 from jointmix.ordinal import OrdinalParams, _linear_predictor
+from jointmix.ordinal import loglik_matrix as ordinal_matrix
 from jointmix.params import ModelParams, ParamLayout
 from jointmix.survival import (EmptyRiskSetError, HazardSteps, InvalidHazardError, RiskSetTables,
                                SurvivalParams, linear_predictors)
+from jointmix.survival import loglik_matrix as survival_matrix
 
 
 # ------------------------------------------------------------ survival
@@ -242,11 +244,19 @@ def m_step_pi(posterior) -> np.ndarray:
     return _gamma_of(posterior).mean(axis=0)
 
 
+def mixture_loglik(packed: PackedData, params: ModelParams, hazard) -> np.ndarray:
+    """(n, R) matrix log pi_r + log P(Y_i | r) + log P(T_i, d_i | r), the event
+    log-jump included, composed from the two per-model kernels."""
+    return (ordinal_matrix(packed, params.ordinal, params.theta)
+            + survival_matrix(packed, hazard, params.theta, params.survival)
+            + np.log(params.pi)[None, :])
+
+
 def observed_loglik(data, params: ModelParams, hazard) -> float:
     """Observed-data mixture log-likelihood at a given baseline hazard."""
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
     try:
-        rowmax, total, _ = _posterior_parts(packed, _loglik_components(packed, params, hazard))
+        rowmax, total, _ = _posterior_parts(packed, mixture_loglik(packed, params, hazard))
     except DegenerateSubjectError as err:
         raise FloatingPointError("observed log-likelihood is not finite") from err
     return _observed_loglik(rowmax, total)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from jointmix import default_design
-from jointmix.cli import (EXIT_INPUT, build_records, design_from_dict, design_to_dict, main,
-                          read_ordinal_csv, read_survival_csv, write_dataset_csvs)
+from jointmix.cli import (EXIT_INPUT, EXIT_NUMERIC, build_records, design_from_dict,
+                          design_to_dict, main, read_ordinal_csv, read_survival_csv,
+                          write_dataset_csvs)
 from jointmix.data import DataError
 from jointmix.simulation import (ConstantBaseline, ExponentialCensoring, NoCensoring,
                                  PiecewiseConstantBaseline, TwoPointCovariate, UniformCensoring)
@@ -349,3 +350,25 @@ class TestCheck:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error: ")
         assert not (tmp_path / "checks").exists()
+
+    def test_phi_tied_at_a_boundary_exits_1(self, sim_dir, tmp_path, capsys):
+        # the identity check cannot step phi[2] past phi[3] = 1
+        doc = json.loads((sim_dir / "truth.json").read_text())
+        doc["params"]["phi"] = [0.0, 1.0, 1.0]
+        (tmp_path / "params.json").write_text(json.dumps(doc))
+        assert self.check(sim_dir, tmp_path, tmp_path / "params.json") == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: cannot perturb coordinate phi[2]: ")
+        assert not (tmp_path / "checks").exists()
+
+
+def test_a_numeric_failure_exits_3_naming_its_type(sim_dir, tmp_path, capsys, monkeypatch):
+    def failing_fit(*args, **kwargs):
+        raise FloatingPointError("risk set overflowed")
+
+    monkeypatch.setattr("jointmix.cli.em_fit", failing_fit)
+    code = main(["fit", str(sim_dir / "ordinal.csv"), str(sim_dir / "survival.csv"),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERIC == 3
+    err = capsys.readouterr().err
+    assert err == "numeric failure: FloatingPointError: risk set overflowed\n"
+    assert not (tmp_path / "out").exists()

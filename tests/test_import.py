@@ -167,3 +167,33 @@ def test_the_breslow_quotient_is_taken_in_one_place():
                 quotients.add(scope)
     assert readers == {"data.py"}
     assert quotients == {"survival.breslow_steps"}
+
+
+def ordinal_loglik_callers(path: Path) -> set[str]:
+    """Scopes of a source file that call ``ordinal.loglik_matrix``: through a name the
+    file binds to the ``ordinal`` module or to the function, or by name in ordinal.py."""
+    modules, functions = set(), {"loglik_matrix"} if path.name == "ordinal.py" else set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None and alias.name == "ordinal":
+                    modules.add(alias.asname or alias.name)
+                elif node.module == "ordinal" and alias.name == "loglik_matrix":
+                    functions.add(alias.asname or alias.name)
+    return {scope for scope, node in scoped_nodes(path) if isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) in functions
+        or getattr(node.func, "attr", None) == "loglik_matrix"
+        and getattr(node.func.value, "id", None) in modules)}
+
+
+def test_every_posterior_is_one_fixed_point_step():
+    # the terms that stay fixed at fixed parameters are formed in one place, and the
+    # responsibilities only in the E-step and in the fixed-point solve that iterates it
+    modules = sorted((SRC / "jointmix").glob("*.py"))
+    parts = set().union(*(enclosing_scopes(path, "_posterior_parts") for path in modules))
+    assert parts == {"likelihood._posterior_matrix", "inference._solve_fixed_point"}
+    assert set().union(*map(ordinal_loglik_callers, modules)) == {"likelihood._fixed_terms"}
+    defined = {node.name for path in modules for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "_fixed_terms" in defined
+    assert not {"true_posterior", "_loglik_components"} & defined

@@ -11,18 +11,18 @@ from hypothesis import strategies as st
 import jointmix.inference
 from jointmix import (ConstantBaseline, HazardSteps, InfoMatrix, ModelParams, OrdinalParams,
                       ParamLayout, SingularInformationError, SurvivalParams,
-                      contraction_check, default_design, default_directions,
+                      contraction_check, default_design, default_directions, e_step,
                       efficient_score_equivalence, em_fit, fixed_point_posterior, generate_dataset,
                       info_identity_check, information_matrix, mean_profile_score,
                       orthogonality_check, score_matrix, standard_errors)
 from jointmix.data import DataError, PackedData
-from jointmix.inference import pseudo_standard_errors, true_posterior
+from jointmix.inference import pseudo_standard_errors
 from jointmix.ordinal import loglik_matrix
 from jointmix.simulation import SimDesign, UniformCensoring
 from jointmix.survival import RiskSetTables, linear_predictors
 
 from conftest import make_subject, random_gamma, random_params, random_dataset, rescaled
-from oracles import profile_score_obs
+from oracles import mixture_loglik, profile_score_obs
 
 
 def dataset_and_gamma(seed, n=30, n_groups=2, n_levels=3, n_items=2):
@@ -69,12 +69,10 @@ class TestProfileScoreObs:
         tables = RiskSetTables(packed, gamma, params.theta, params.survival)
         total = score_matrix(packed, params, gamma, tables).sum(axis=0)
 
-        from jointmix.likelihood import _loglik_components
-
         def weighted_loglik(x):
             p = layout.unpack(x, params.pi)
             t = RiskSetTables(packed, gamma, p.theta, p.survival)
-            comp = _loglik_components(packed, p, t) - np.log(p.pi)[None, :]
+            comp = mixture_loglik(packed, p, t) - np.log(p.pi)[None, :]
             return float((gamma * comp).sum())
 
         x0 = layout.pack(params)
@@ -206,6 +204,16 @@ class TestInfoIdentity:
         report = info_identity_check(records, design.params)
         assert report.rel_frobenius_gap < 0.25
         assert np.all(np.isfinite(report.fd_jacobian))
+
+    def test_phi_tied_at_a_boundary_is_a_data_error(self):
+        # the step from phi[2] = phi[3] = 1 leaves the parameter space, which is an
+        # input error of the caller's parameters, not a failure of the check
+        params, records, _ = dataset_and_gamma(73, n=40)
+        tied = replace(params, ordinal=OrdinalParams(params.ordinal.a, np.array([0.0, 1.0, 1.0]),
+                                                     params.ordinal.b))
+        with pytest.raises(DataError, match=r"cannot perturb coordinate phi\[2\]: ") as info:
+            info_identity_check(records, tied)
+        assert isinstance(info.value, ValueError)
 
 
 class TestOrthogonality:
@@ -389,12 +397,13 @@ class TestContraction:
 
 
 def fixed_point_oracle(packed, params, gamma0=None, tol=1e-12, max_iter=500):
-    """Reference solve: full tables and the complete posterior at every step."""
-    from jointmix.likelihood import _posterior_matrix
+    """Reference solve: full tables and the complete posterior at every step, the
+    event log-jumps included."""
+    from jointmix.likelihood import _posterior_parts
     gamma = np.tile(params.pi, (packed.n, 1)) if gamma0 is None else np.array(gamma0)
     for _ in range(max_iter):
         tables = RiskSetTables(packed, gamma, params.theta, params.survival)
-        gamma_new = _posterior_matrix(packed, params, tables)
+        gamma_new = _posterior_parts(packed, mixture_loglik(packed, params, tables))[2]
         step = np.max(np.abs(gamma_new - gamma))
         gamma = gamma_new
         if step < tol:
@@ -426,6 +435,19 @@ class TestFixedPoint:
         packed = PackedData.coerce(records, 3, 2)
         gamma_ref, _ = fixed_point_oracle(packed, params, max_iter=1)
         np.testing.assert_allclose(gamma, gamma_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_groups", [2, 3])
+    def test_e_step_at_profiled_tables_is_one_fixed_point_step(self, n_groups):
+        # one E-step: the posterior at the hazard profiled from gamma is the solve's
+        # step from gamma to the bit, whether the hazard is read from the tables or
+        # from their HazardSteps
+        params, records, gamma = dataset_and_gamma(110 + n_groups, n=80, n_groups=n_groups,
+                                                   n_levels=4, n_items=3)
+        packed = PackedData.coerce(records, 4, 3)
+        step = jointmix.inference._solve_fixed_point(packed, params, gamma, max_iter=1).gamma
+        tables = RiskSetTables(packed, gamma, params.theta, params.survival)
+        for hazard in (tables, tables.hazard_steps()):
+            assert np.array_equal(e_step(packed, params, hazard).gamma, step)
 
     def test_consistency_of_fixed_point(self):
         params, records, _ = dataset_and_gamma(80, n=40)
@@ -525,5 +547,5 @@ class TestFixedPoint:
     def test_true_posterior_rows_simplex(self):
         design = default_design(n=50, seed=82)
         records, _ = generate_dataset(design)
-        gamma = true_posterior(records, design.params, design.baseline)
+        gamma = e_step(records, design.params, design.baseline).gamma
         np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-12)

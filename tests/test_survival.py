@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointmix import (EmptyRiskSetError, HazardSteps, InvalidHazardError, ModelParams,
-                      OrdinalParams, SurvivalParams, SurvivalRecord, default_design,
+                      OrdinalParams, SurvivalParams, SurvivalRecord, default_design, e_step,
                       generate_dataset)
 from jointmix.data import PackedData
 from jointmix.inference import _solve_fixed_point
@@ -14,7 +14,7 @@ from jointmix.simulation import ConstantBaseline
 from jointmix.survival import (RiskSetTables, breslow_steps, efficient_scores, loglik_matrix,
                                profile_scores, profiled_loglik)
 
-from conftest import random_gamma, survival_only
+from conftest import make_subject, random_gamma, survival_only
 from oracles import (cum_hazard, efficient_score_survival, observed_loglik, profile_hazard,
                      risk_aggregates, risk_set_tables, survival_loglik, survival_profile_score)
 
@@ -376,6 +376,25 @@ class TestSurvivalLoglik:
         with pytest.raises(InvalidHazardError):
             survival_loglik(SurvivalRecord(1.5, 1, 0.0), 0.0, hazard, SurvivalParams(0.0, 0.0))
 
+
+    def test_packed_event_at_zero_jump_names_the_subject(self):
+        # subject "b" has its event at t = 2, where the hazard does not jump
+        records = [make_subject(1.0, 1, 0.2, subject_id="a"),
+                   make_subject(2.0, 1, -0.5, subject_id="b"),
+                   make_subject(3.0, 0, 0.1, subject_id="c")]
+        packed = PackedData.coerce(records)
+        params = EVENT_GRID_PARAMS
+        hazard = HazardSteps(np.array([1.0, 2.0]), np.array([0.3, 0.0]))
+        with pytest.raises(InvalidHazardError, match="subject 'b' has an event"):
+            loglik_matrix(packed, hazard, params.theta, params.survival)
+        # the posterior reads only the cumulative hazard, so it has valid rows here
+        gamma = e_step(packed, params, hazard).gamma
+        lp = params.theta[None, :] * params.survival.delta0 + \
+            packed.covariates[:, None] * params.survival.delta1
+        w = params.pi * np.exp(packed.events[:, None] * lp
+                               - hazard.cum(packed.times)[:, None] * np.exp(lp))
+        np.testing.assert_allclose(gamma, w / w.sum(axis=1, keepdims=True), rtol=1e-12)
+        np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
 
 def profile_loglik_sum(packed, gamma, theta_free, delta_vec):
     """Sum over subjects of the gamma-weighted survival log profile likelihood."""
