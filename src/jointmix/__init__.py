@@ -23,8 +23,7 @@ from .params import ModelParams, ParamLayout
 from .simulation import (ConstantBaseline, ExponentialCensoring, MCReport, NoCensoring,
                          PiecewiseConstantBaseline, SimDesign, TwoPointCovariate,
                          UniformCensoring, default_design, generate_dataset, mc_normality)
-from .survival import (EmptyRiskSetError, HazardSteps, InvalidHazardError, RiskSetTables,
-                       SurvivalParams)
+from .survival import EmptyRiskSetError, HazardSteps, RiskSetTables, SurvivalParams
 
 __version__ = "0.1.0"
 

@@ -365,7 +365,7 @@ def _cmd_check(args) -> int:
     packed = PackedData(records, params.n_levels, params.n_items)
     gamma, tables = _inference.fixed_point_posterior(packed, params)
     equivalence = _inference.efficient_score_equivalence(packed, params, gamma)
-    contraction = _inference.contraction_check(packed, params, tables.hazard_steps())
+    contraction = _inference.contraction_check(packed, params, tables)
     directions = _inference.default_directions(packed)
     ortho = _inference.orthogonality_check(packed, params, directions, baseline)
     identity = _inference.info_identity_check(packed, params)
@@ -455,14 +455,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser, path: str):
-    """Make the keys of the config file the defaults of the subcommands that take them."""
+    """Make the keys of the config file the defaults of the subcommands that take them.
+
+    Each value is converted as its flag's ``type`` converts the same text on
+    the command line: a JSON string is that text, and any other value its
+    JSON spelling, so ``1.5`` is no ``--restarts`` and ``true`` no ``--groups``.
+    A ``null`` keeps the flag's default.
+    """
     defaults = load_json(path)
-    dests = {sp: {a.dest for a in sp._actions} for sp in parser._jointmix_subparsers.values()}
-    unknown = sorted(set(defaults) - (set().union(*dests.values()) - {"help"}))
+    actions = {sp: {a.dest: a for a in sp._actions if a.dest != "help"}
+               for sp in parser._jointmix_subparsers.values()}
+    unknown = sorted(set(defaults) - set().union(*actions.values()))
     if unknown:
         raise DataError(f"{path}: no subcommand accepts the keys {unknown}")
-    for subparser, accepted in dests.items():
-        subparser.set_defaults(**{k: v for k, v in defaults.items() if k in accepted})
+    for subparser, by_dest in actions.items():
+        converted = {}
+        for key, value in defaults.items():
+            if key in by_dest and value is not None:
+                text = value if isinstance(value, str) else json.dumps(value)
+                try:
+                    converted[key] = (by_dest[key].type or str)(text)
+                except ValueError as err:
+                    raise DataError(f"{path}: key {key!r}: invalid value {value!r}") from err
+        subparser.set_defaults(**converted)
 
 
 def main(argv=None) -> int:

@@ -72,8 +72,8 @@ class MStepError(RuntimeError):
 
 
 # the typed numeric failures of a fit; callers that record a failed fit catch these only
-_NUMERIC_ERRORS = (FloatingPointError, _survival.EmptyRiskSetError, _survival.InvalidHazardError,
-                   DegenerateSubjectError, MStepError, np.linalg.LinAlgError)
+_NUMERIC_ERRORS = (FloatingPointError, _survival.EmptyRiskSetError, DegenerateSubjectError,
+                   MStepError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -167,12 +167,13 @@ class FitResult:
 def e_step(data, params: ModelParams, hazard) -> Posterior:
     """Responsibilities at ``params`` and ``hazard``: one step of the fixed-point map.
 
-    ``hazard`` is a :class:`RiskSetTables`, a :class:`HazardSteps` or any
-    object with a ``cum(t)`` method, such as a simulation baseline.  Only its
-    cumulative hazard at each subject's time is read: the event log-jump is
-    the same in every group and cancels, so a zero jump at an event time is
-    no error here.  At the tables profiled from responsibilities gamma, this
-    is :func:`inference._solve_fixed_point`'s first step from gamma, to the bit.
+    ``hazard`` is any object with a ``cum(t)`` method: a
+    :class:`RiskSetTables`, a :class:`HazardSteps` or a simulation baseline.
+    Only its cumulative hazard at each subject's time is read: the event
+    log-jump is the same in every group and cancels, so a zero jump at an
+    event time is no error here.  At the tables profiled from
+    responsibilities gamma, this is :func:`inference._solve_fixed_point`'s
+    first step from gamma, to the bit.
     """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
     return Posterior(_posterior_matrix(packed, params, hazard))

@@ -17,7 +17,7 @@ from .data import DataError, PackedData
 from .likelihood import (_CollapsedQ, _fixed_terms, _gamma_of, _observed_loglik,
                          _posterior_matrix, _posterior_parts)
 from .params import ModelParams, ParamLayout
-from .survival import HazardSteps, RiskSetTables, SurvivalParams
+from .survival import RiskSetTables, SurvivalParams
 
 _SINGULAR_CONDITION = 1e10
 # fixed-point stopping rule: no responsibility moves by this much, within this many steps
@@ -339,10 +339,11 @@ def orthogonality_check(data, params: ModelParams, directions, baseline) -> list
     the means should vanish at the true parameters.  The stats are named
     "constant 1" for ``inf`` and "1[0, c]" otherwise.
 
-    ``baseline`` is any object with a ``cum(t)`` method: a simulation
-    baseline or a :class:`HazardSteps`.  The responsibilities are the E-step
-    at it (:func:`likelihood._posterior_matrix`), which reads only the
-    cumulative hazard, so a continuous baseline needs no jumps.
+    ``baseline`` is any hazard, read only by its ``cum(t)`` method: a
+    simulation baseline, a :class:`survival.HazardSteps` or a
+    :class:`RiskSetTables`.  The responsibilities are the E-step at it
+    (:func:`likelihood._posterior_matrix`), so a continuous baseline needs no
+    jumps.
     """
     cutoffs = np.asarray(directions, dtype=float)
     if not np.all(cutoffs >= 0):
@@ -407,11 +408,14 @@ class ContractionCheck:
     satisfied: bool
 
 
-def contraction_check(data, params: ModelParams, hazard: HazardSteps) -> ContractionCheck:
+def contraction_check(data, params: ModelParams, hazard) -> ContractionCheck:
     """Check the contraction condition that makes the profiled hazard differentiable.
 
     Compares max over subjects and groups of |posterior-mean exp(lp) -
-    exp(lp_r)| against 1 / Lambda(t_max).
+    exp(lp_r)| against 1 / Lambda(t_max).  ``hazard`` is any hazard, read
+    only by its ``cum(t)`` method: the :class:`RiskSetTables` that
+    :func:`fixed_point_posterior` returns, a :class:`survival.HazardSteps` or
+    a simulation baseline.
     """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
     t_max = float(packed.times.max())

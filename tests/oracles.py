@@ -24,12 +24,16 @@ from jointmix.likelihood import (DegenerateSubjectError, _gamma_of, _observed_lo
 from jointmix.ordinal import OrdinalParams, _linear_predictor
 from jointmix.ordinal import loglik_matrix as ordinal_matrix
 from jointmix.params import ModelParams, ParamLayout
-from jointmix.survival import (EmptyRiskSetError, HazardSteps, InvalidHazardError, RiskSetTables,
-                               SurvivalParams, linear_predictors)
+from jointmix.survival import (EmptyRiskSetError, HazardSteps, RiskSetTables, SurvivalParams,
+                               linear_predictors)
 from jointmix.survival import loglik_matrix as survival_matrix
 
 
 # ------------------------------------------------------------ survival
+
+class InvalidHazardError(ValueError):
+    """An event time carries no positive jump of the step hazard given to an oracle."""
+
 
 def cum_hazard(hazard: HazardSteps, t) -> float:
     """Evaluate the cumulative hazard step function at ``t``."""
@@ -246,9 +250,21 @@ def m_step_pi(posterior) -> np.ndarray:
 
 def mixture_loglik(packed: PackedData, params: ModelParams, hazard) -> np.ndarray:
     """(n, R) matrix log pi_r + log P(Y_i | r) + log P(T_i, d_i | r), the event
-    log-jump included, composed from the two per-model kernels."""
-    return (ordinal_matrix(packed, params.ordinal, params.theta)
-            + survival_matrix(packed, hazard, params.theta, params.survival)
+    log-jump included.
+
+    The ordinal block is the packed kernel's.  The survival block is
+    ``survival.loglik_matrix`` at a :class:`RiskSetTables`, the one hazard it
+    takes, and :func:`survival_loglik` record by record at a
+    :class:`HazardSteps`, which raises :class:`InvalidHazardError` for an
+    event at a zero jump.
+    """
+    if isinstance(hazard, RiskSetTables):
+        surv = survival_matrix(packed, hazard, params.theta, params.survival)
+    else:
+        surv = np.array([[survival_loglik(SurvivalRecord(t, d, x), r, hazard, params.survival)
+                          for r in params.theta]
+                         for t, d, x in zip(packed.times, packed.events, packed.covariates)])
+    return (ordinal_matrix(packed, params.ordinal, params.theta) + surv
             + np.log(params.pi)[None, :])
 
 

@@ -220,8 +220,12 @@ class TestFit:
 
     @pytest.mark.parametrize("flags, config", [
         (["--max-iter", "0"], None), (["--restarts", "0"], None), (["--tol-param=-1e-6"], None),
-        (["--groups", "0"], None), ([], {"max_iter": 0})],
-        ids=["max-iter", "restarts", "tol-param", "groups", "config"])
+        (["--groups", "0"], None), ([], {"max_iter": 0}),
+        # a config value converts as its flag converts the same text on the command line
+        ([], {"restarts": 1.5}), ([], {"seed": 1.5}), ([], {"groups": True}),
+        ([], {"tol_loglik": [1]})],
+        ids=["max-iter", "restarts", "tol-param", "groups", "config", "config-float-restarts",
+             "config-float-seed", "config-bool-groups", "config-list-tol"])
     def test_invalid_fit_settings_exit_1(self, sim_dir, tmp_path, capsys, flags, config):
         before = []
         if config is not None:
@@ -236,6 +240,17 @@ class TestFit:
     def test_a_config_flag_without_a_file_exits_1(self, capsys):
         assert main(["--config"]) == EXIT_INPUT
         assert "expected one argument" in capsys.readouterr().err
+
+    def test_config_values_convert_as_their_flags_do(self, sim_dir, tmp_path):
+        # a null keeps the default, and a string converts as the same text on the command line
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"levels": None, "restarts": 1, "tol_loglik": 1e-6,
+                                      "max_iter": "40"}))
+        data = [str(sim_dir / "ordinal.csv"), str(sim_dir / "survival.csv")]
+        code = main(["--config", str(config), "fit", *data, "--out", str(tmp_path / "config")])
+        assert code == main(["fit", *data, "--restarts", "1", "--tol-loglik", "1e-06",
+                             "--max-iter", "40", "--out", str(tmp_path / "flags")])
+        assert read_bytes(tmp_path / "config") == read_bytes(tmp_path / "flags")
 
     def test_config_keys_of_another_subcommand_are_allowed(self, sim_dir, tmp_path):
         # threads and replications belong to mc; fit ignores them
@@ -270,12 +285,18 @@ class TestMc:
         assert code == EXIT_INPUT
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("replications, theta", [("-1", [0.0, 1.0]), ("2", [0.0, -1.0])],
-                             ids=["replications", "descending-theta"])
-    def test_invalid_study_exits_1(self, tmp_path, capsys, replications, theta):
+    @pytest.mark.parametrize("replications, theta, config", [
+        ("-1", [0.0, 1.0], None), ("2", [0.0, -1.0], None),
+        (None, [0.0, 1.0], {"replications": True}), ("2", [0.0, 1.0], {"threads": 1.5})],
+        ids=["replications", "descending-theta", "config-bool-replications",
+             "config-float-threads"])
+    def test_invalid_study_exits_1(self, tmp_path, capsys, replications, theta, config):
         design = write_design(tmp_path, n=50, params=dict(DESIGN["params"], theta=theta))
-        code = main(["mc", str(design), "--replications", replications,
-                     "--out", str(tmp_path / "out")])
+        before, flags = [], [] if replications is None else ["--replications", replications]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            before = ["--config", str(tmp_path / "config.json")]
+        code = main(before + ["mc", str(design), *flags, "--out", str(tmp_path / "out")])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error: ")
         assert not (tmp_path / "out").exists()

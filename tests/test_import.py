@@ -197,3 +197,18 @@ def test_every_posterior_is_one_fixed_point_step():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "_fixed_terms" in defined
     assert not {"true_posterior", "_loglik_components"} & defined
+
+
+def test_every_hazard_is_read_by_cum():
+    # a hazard is an object with cum(t): no kernel branches on its form, and only
+    # survival.loglik_matrix, which takes the profiled event jumps, asks for the tables
+    modules = sorted((SRC / "jointmix").glob("*.py"))
+    defined = {node.name for path in modules for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "RiskSetTables" in defined
+    assert not {"_grid_cum", "_grid_steps", "InvalidHazardError"} & defined
+    checks = {scope for path in modules for scope, node in scoped_nodes(path)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+              and "RiskSetTables" in {getattr(sub, "id", getattr(sub, "attr", None))
+                                      for sub in ast.walk(node.args[1])}}
+    assert checks == {"survival.loglik_matrix"}

@@ -19,7 +19,7 @@ from jointmix.data import DataError, PackedData
 from jointmix.inference import pseudo_standard_errors
 from jointmix.ordinal import loglik_matrix
 from jointmix.simulation import SimDesign, UniformCensoring
-from jointmix.survival import RiskSetTables, linear_predictors
+from jointmix.survival import RiskSetTables, efficient_scores, linear_predictors
 
 from conftest import make_subject, random_gamma, random_params, random_dataset, rescaled
 from oracles import mixture_loglik, profile_score_obs
@@ -293,7 +293,7 @@ class TestEquivalence:
         assert efficient_score_equivalence(records, design.params, gamma) > 1e-4
 
     def test_perturbed_hazard_detected(self):
-        from jointmix.survival import efficient_scores, profile_scores
+        from jointmix.survival import profile_scores
         params, records, gamma = dataset_and_gamma(60, n=20)
         packed = PackedData.coerce(records, 3, 2)
         tables = RiskSetTables(packed, gamma, params.theta, params.survival)
@@ -440,14 +440,25 @@ class TestFixedPoint:
     def test_e_step_at_profiled_tables_is_one_fixed_point_step(self, n_groups):
         # one E-step: the posterior at the hazard profiled from gamma is the solve's
         # step from gamma to the bit, whether the hazard is read from the tables or
-        # from their HazardSteps
+        # from their HazardSteps; every hazard is read by cum(t), so the checks and
+        # the efficient scores read both forms alike too
         params, records, gamma = dataset_and_gamma(110 + n_groups, n=80, n_groups=n_groups,
                                                    n_levels=4, n_items=3)
         packed = PackedData.coerce(records, 4, 3)
         step = jointmix.inference._solve_fixed_point(packed, params, gamma, max_iter=1).gamma
         tables = RiskSetTables(packed, gamma, params.theta, params.survival)
+        directions = default_directions(packed)
+        read = []
         for hazard in (tables, tables.hazard_steps()):
             assert np.array_equal(e_step(packed, params, hazard).gamma, step)
+            report = contraction_check(packed, params, hazard)
+            ortho = orthogonality_check(packed, params, directions, hazard)
+            read.append([report.max_lhs, report.bound,
+                         efficient_scores(packed, gamma, hazard, tables),
+                         *(st.mean for st in ortho), *(st.std_error for st in ortho),
+                         [st.max_abs_ratio for st in ortho]])
+        for at_tables, at_steps in zip(*read):
+            assert np.array_equal(at_tables, at_steps)
 
     def test_consistency_of_fixed_point(self):
         params, records, _ = dataset_and_gamma(80, n=40)

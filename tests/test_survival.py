@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jointmix import (EmptyRiskSetError, HazardSteps, InvalidHazardError, ModelParams,
-                      OrdinalParams, SurvivalParams, SurvivalRecord, default_design, e_step,
-                      generate_dataset)
+from jointmix import (EmptyRiskSetError, HazardSteps, ModelParams, OrdinalParams,
+                      SurvivalParams, SurvivalRecord, default_design, e_step, generate_dataset)
 from jointmix.data import PackedData
 from jointmix.inference import _solve_fixed_point
 from jointmix.simulation import ConstantBaseline
@@ -15,8 +14,9 @@ from jointmix.survival import (RiskSetTables, breslow_steps, efficient_scores, l
                                profile_scores, profiled_loglik)
 
 from conftest import make_subject, random_gamma, survival_only
-from oracles import (cum_hazard, efficient_score_survival, observed_loglik, profile_hazard,
-                     risk_aggregates, risk_set_tables, survival_loglik, survival_profile_score)
+from oracles import (InvalidHazardError, cum_hazard, efficient_score_survival, observed_loglik,
+                     profile_hazard, risk_aggregates, risk_set_tables, survival_loglik,
+                     survival_profile_score)
 
 
 def nelson_aalen_oracle(times, events):
@@ -311,6 +311,19 @@ class TestCumHazard:
         np.testing.assert_array_equal(hazard.cum(grid), expected)
         assert hazard.total == prefix[-1]
 
+    def test_tables_cum_reads_their_jumps_as_hazard_steps_do(self):
+        records = survival_only([0.5, 1.0, 1.0, 2.0, 3.5], [1, 0, 1, 1, 0],
+                                [0.1, -0.3, 0.2, 0.0, 0.4])
+        packed = PackedData.coerce(records)
+        tables = RiskSetTables(packed, random_gamma(np.random.default_rng(3), 5, 2),
+                               np.array([0.0, 0.6]), SurvivalParams(0.5, 0.2))
+        kept = set(vars(tables))
+        grid = np.array([0.0, 0.4, 0.5, 0.9, 1.0, 2.0, 3.0, 3.5, 10.0])
+        np.testing.assert_array_equal(tables.cum(grid), tables.hazard_steps().cum(grid))
+        np.testing.assert_array_equal(tables.cum(packed.distinct_times), np.cumsum(tables.jumps))
+        assert tables.cum(10.0) == tables.hazard_steps().total
+        assert set(vars(tables)) == kept          # nothing is cached on the tables
+
     def test_writable_inputs_are_copied(self):
         times = np.array([1.0, 2.0, 3.0])
         jumps = np.array([0.1, 0.2, 0.3])
@@ -385,8 +398,6 @@ class TestSurvivalLoglik:
         packed = PackedData.coerce(records)
         params = EVENT_GRID_PARAMS
         hazard = HazardSteps(np.array([1.0, 2.0]), np.array([0.3, 0.0]))
-        with pytest.raises(InvalidHazardError, match="subject 'b' has an event"):
-            loglik_matrix(packed, hazard, params.theta, params.survival)
         # the posterior reads only the cumulative hazard, so it has valid rows here
         gamma = e_step(packed, params, hazard).gamma
         lp = params.theta[None, :] * params.survival.delta0 + \
@@ -395,6 +406,21 @@ class TestSurvivalLoglik:
                                - hazard.cum(packed.times)[:, None] * np.exp(lp))
         np.testing.assert_allclose(gamma, w / w.sum(axis=1, keepdims=True), rtol=1e-12)
         np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_loglik_matrix_takes_only_tables(self):
+        # the event log-jumps are the Breslow jumps profiled into the tables; a step
+        # hazard or a simulation baseline is no stand-in for them
+        design = default_design(n=50, seed=1)
+        records, _ = generate_dataset(design)
+        params = design.params
+        packed = PackedData.coerce(records, params.n_levels, params.n_items)
+        tables = RiskSetTables(packed, random_gamma(np.random.default_rng(5), 50, 2),
+                               params.theta, params.survival)
+        assert loglik_matrix(packed, tables, params.theta, params.survival).shape == (50, 2)
+        for hazard in (tables.hazard_steps(), design.baseline):
+            with pytest.raises(TypeError, match="RiskSetTables"):
+                loglik_matrix(packed, hazard, params.theta, params.survival)
+
 
 def profile_loglik_sum(packed, gamma, theta_free, delta_vec):
     """Sum over subjects of the gamma-weighted survival log profile likelihood."""
