@@ -173,16 +173,11 @@ class RiskSetTables:
     def cum(self, t):
         """Cumulative hazard at ``t`` (scalar or array), right-continuous.
 
-        Summed from the jumps at each call, as :meth:`HazardSteps.cum` reads
-        its own; nothing is kept on the tables.  Read at the tables' own
-        ``times``, the k-th time's value is the k-th partial sum, so no search
-        is made: at 10 000 times the search would take 170 us, against 35 us
-        for the sum.
+        Summed from the jumps at each call and read as :meth:`HazardSteps.cum`
+        reads its own; nothing is kept on the tables.
         """
-        cum = np.cumsum(self.jumps)
-        if t is self.times:
-            return cum
-        return np.concatenate([[0.0], cum])[np.searchsorted(self.times, t, side="right")]
+        prefix = np.concatenate([[0.0], np.cumsum(self.jumps)])
+        return prefix[np.searchsorted(self.times, t, side="right")]
 
     def hazard_steps(self) -> HazardSteps:
         return HazardSteps(self.times, self.jumps)
