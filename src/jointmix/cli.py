@@ -3,7 +3,8 @@
 Data files are flat CSV (long-format ordinal responses, one-row-per-subject
 survival).  Results, designs and parameter files are JSON documents; every
 flag has a config-file equivalent, flags override the file, and a config key
-that no subcommand accepts is an input error.  So is a malformed file (a
+that no subcommand accepts, or that names a required argument (the input
+files, the design, the check's parameters), is an input error.  So is a malformed file (a
 short CSV row, a JSON document of the wrong shape) and a dataset the checks
 cannot use, such as one without events.  Exit codes:
 0 success, 1 input error, 2 non-convergence, 3 internal numeric failure.
@@ -460,7 +461,9 @@ def _apply_config(parser, path: str):
     Each value is converted as its flag's ``type`` converts the same text on
     the command line: a JSON string is that text, and any other value its
     JSON spelling, so ``1.5`` is no ``--restarts`` and ``true`` no ``--groups``.
-    A ``null`` keeps the flag's default.
+    A ``null`` keeps the flag's default.  A key that no subcommand accepts,
+    or that names a required argument, which only the command line gives,
+    raises :class:`DataError`.
     """
     defaults = load_json(path)
     actions = {sp: {a.dest: a for a in sp._actions if a.dest != "help"}
@@ -468,6 +471,11 @@ def _apply_config(parser, path: str):
     unknown = sorted(set(defaults) - set().union(*actions.values()))
     if unknown:
         raise DataError(f"{path}: no subcommand accepts the keys {unknown}")
+    required = sorted({dest for by_dest in actions.values()
+                       for dest, action in by_dest.items() if action.required} & set(defaults))
+    if required:
+        raise DataError(f"{path}: the keys {required} name required arguments; "
+                        "give them on the command line")
     for subparser, by_dest in actions.items():
         converted = {}
         for key, value in defaults.items():

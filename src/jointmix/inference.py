@@ -141,14 +141,25 @@ class _FixedPoint(NamedTuple):
 
 
 def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarray | None,
-                       max_iter: int = _FIXED_POINT_MAX_ITER) -> _FixedPoint:
+                       max_iter: int = _FIXED_POINT_MAX_ITER,
+                       tol: float = _FIXED_POINT_TOL) -> _FixedPoint:
     """Iterate responsibilities and the hazard profiled from them; builds no tables.
 
     Returns the last step's responsibilities, read-only, the observed
     log-likelihood at the hazard that step profiled, the number of steps
-    taken and whether the last one moved no responsibility by
-    ``_FIXED_POINT_TOL``.  The responsibilities are the posterior at that
-    hazard, so the two describe one point exactly.
+    taken and whether the last one moved no responsibility by ``tol``.  The
+    responsibilities are the posterior at that hazard, so the two describe
+    one point exactly.
+
+    ``tol`` is ``_FIXED_POINT_TOL`` (1e-12) for every solve whose point is
+    reported: the checks, the standard errors and each restart's exit.  Only
+    the evaluations of the profile-likelihood ascent solve to
+    ``em._ASCENT_FIXED_POINT_TOL`` (1e-9): the fixed point is stationary in
+    the hazard, so an error eps in the responsibilities moves the observed
+    log-likelihood by O(eps^2) and the envelope gradient of
+    :func:`_profile_point` by O(eps), far below what the ascent's stopping
+    rule resolves.  A ``max_iter`` below 1 or a ``tol`` that is not positive
+    and finite raises ``ValueError``.
 
     The ordinal log-likelihoods, d_i lp_ir, log pi_r and exp(lp_ir) do not
     change while the parameters are fixed, so they are formed once, by
@@ -176,6 +187,8 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     fixed, e = _fixed_terms(packed, params)
     ones = np.ones(params.n_groups)
     gamma = (np.tile(params.pi[:, None], packed.n).T if gamma0 is None
@@ -184,7 +197,7 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
     for n_steps in range(1, max_iter + 1):
         jumps, cum_at = _survival.breslow_steps(packed, (gamma * e) @ ones)
         rowmax, total, gamma_new = _posterior_parts(packed, fixed - cum_at[:, None] * e)
-        converged = float(np.max(np.abs(gamma_new - gamma))) < _FIXED_POINT_TOL
+        converged = float(np.max(np.abs(gamma_new - gamma))) < tol
         gamma = gamma_new
         if converged:
             break
@@ -211,9 +224,9 @@ def fixed_point_posterior(data, params: ModelParams, gamma0: np.ndarray | None =
     return solve.gamma, RiskSetTables(packed, solve.gamma, params.theta, params.survival)
 
 
-def _profile_point(packed: PackedData, params: ModelParams,
-                   gamma0: np.ndarray | None) -> tuple[_FixedPoint, np.ndarray]:
-    """The fixed point at ``params`` solved from ``gamma0``, and the gradient of Q there.
+def _profile_point(packed: PackedData, params: ModelParams, gamma0: np.ndarray | None,
+                   tol: float = _FIXED_POINT_TOL) -> tuple[_FixedPoint, np.ndarray]:
+    """The fixed point at ``params`` solved from ``gamma0`` to ``tol``, and the gradient of Q there.
 
     The gradient is :class:`likelihood._CollapsedQ`'s over the free natural
     coordinates at the fixed-point responsibilities, which is n times the
@@ -221,7 +234,7 @@ def _profile_point(packed: PackedData, params: ModelParams,
     matrix are built.  The caller decides what a solve that did not converge
     means.
     """
-    solve = _solve_fixed_point(packed, params, gamma0)
+    solve = _solve_fixed_point(packed, params, gamma0, tol=tol)
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
     _, grad = _CollapsedQ(packed, solve.gamma, layout).value_and_grad(params)
     return solve, grad

@@ -237,6 +237,24 @@ class TestFit:
         assert capsys.readouterr().err.startswith("input error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, doc", [
+        ("fit", {"ordinal_csv": "nonexistent.csv"}), ("check", {"params": "nonexistent.json"})],
+        ids=["fit-positional", "check-required-option"])
+    def test_config_keys_naming_required_arguments_exit_1(self, sim_dir, tmp_path, capsys,
+                                                          command, doc):
+        # the command line gives every required argument; the file's value would be ignored
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        args = {"fit": [str(sim_dir / "ordinal.csv"), str(sim_dir / "survival.csv")],
+                "check": ["--ordinal", str(sim_dir / "ordinal.csv"),
+                          "--survival", str(sim_dir / "survival.csv"),
+                          "--params", str(sim_dir / "truth.json")]}[command]
+        code = main(["--config", str(config), command, *args, "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and repr(next(iter(doc))) in err
+        assert not (tmp_path / "out").exists()
+
     def test_a_config_flag_without_a_file_exits_1(self, capsys):
         assert main(["--config"]) == EXIT_INPUT
         assert "expected one argument" in capsys.readouterr().err

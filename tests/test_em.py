@@ -535,6 +535,84 @@ class TestEmFit:
         assert fit.loglik_trace.size >= 1
 
 
+class TestAscentTolerance:
+    """The ascent solves its fixed points to 1e-9 and each restart's exit to 1e-12."""
+
+    # the benchmark's gate on the fit's log-likelihood against a reference fit
+    LOGLIK_RTOL = 1e-8
+    GOLDEN_CONFIG = EMConfig(n_restarts=2, max_iter=4000, seed=5)
+
+    @staticmethod
+    def fit_with_restarts(monkeypatch, records, config):
+        """em_fit with every RestartRecord it made, in restart order."""
+        kept, fit_restart = [], jointmix.em._fit_restart
+
+        def keep(*args):
+            kept.append(fit_restart(*args))
+            return kept[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(jointmix.em, "_fit_restart", keep)
+            fit = em_fit(records, 2, config)
+        return fit, kept
+
+    @staticmethod
+    def best(restarts):
+        return max(restarts, key=lambda r: (r.converged, r.trace[-1]))
+
+    def test_every_restart_exits_at_a_strict_fixed_point(self, converged_fit, monkeypatch):
+        # an aborted restart too: its ascent fails at the 11th evaluation, mid-ascent
+        _, records, _ = converged_fit
+        _, restarts = self.fit_with_restarts(monkeypatch, records, self.GOLDEN_CONFIG)
+        evaluate = _ProfileObjective.__call__
+
+        def fail_late(objective, z):
+            if objective.n_eval == 10:
+                raise np.linalg.LinAlgError("late failure")
+            return evaluate(objective, z)
+
+        monkeypatch.setattr(_ProfileObjective, "__call__", fail_late)
+        _, aborted = self.fit_with_restarts(monkeypatch, records, self.GOLDEN_CONFIG)
+        assert [r.status for r in aborted] == ["aborted: LinAlgError: late failure"] * 2
+        packed = PackedData(records, 3, 2)
+        for record in restarts + aborted:
+            step = jointmix.inference._solve_fixed_point(packed, record.params, record.gamma,
+                                                         max_iter=1)
+            assert np.max(np.abs(step.gamma - record.gamma)) < 1e-12
+            assert record.trace[-1] == pytest.approx(step.loglik, rel=1e-14)
+
+    def test_the_fit_matches_a_strict_ascent_in_fewer_steps(self, converged_fit, monkeypatch):
+        _, records, _ = converged_fit
+        shipped, restarts = self.fit_with_restarts(monkeypatch, records, self.GOLDEN_CONFIG)
+        monkeypatch.setattr(jointmix.em, "_ASCENT_FIXED_POINT_TOL", 1e-12)
+        strict, strict_restarts = self.fit_with_restarts(monkeypatch, records, self.GOLDEN_CONFIG)
+        assert shipped.converged and strict.converged
+        assert shipped.loglik == pytest.approx(strict.loglik, rel=self.LOGLIK_RTOL)
+        layout = ParamLayout(2, 3, 2)
+        np.testing.assert_allclose(np.concatenate([layout.pack(shipped.params), shipped.params.pi]),
+                                   np.concatenate([layout.pack(strict.params), strict.params.pi]),
+                                   rtol=0, atol=self.GOLDEN_CONFIG.tol_param)
+        assert (self.best(restarts).fixed_point_steps
+                < self.best(strict_restarts).fixed_point_steps)
+
+    def test_an_exit_whose_strict_solve_does_not_converge_is_not_converged(
+            self, converged_fit, monkeypatch):
+        # every 1e-12 solve reports that it ran out of steps; the ascent's solves are untouched
+        _, records, _ = converged_fit
+        solve, strict_tol = jointmix.inference._solve_fixed_point, jointmix.inference._FIXED_POINT_TOL
+
+        def strict_fails(*args, tol=strict_tol, **kwargs):
+            result = solve(*args, tol=tol, **kwargs)
+            return result._replace(converged=False) if tol == strict_tol else result
+
+        monkeypatch.setattr(jointmix.inference, "_solve_fixed_point", strict_fails)
+        fit, restarts = self.fit_with_restarts(monkeypatch, records, self.GOLDEN_CONFIG)
+        assert [r.status for r in restarts] == ["fixed point not converged at exit"] * 2
+        assert not fit.converged
+        assert fit.diagnostics[0] == ("no converged restart; best status: "
+                                      "fixed point not converged at exit")
+
+
 class TestProfileObjective:
     """The fit's objective against the public fixed point and observed log-likelihood."""
 

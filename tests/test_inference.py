@@ -460,6 +460,23 @@ class TestFixedPoint:
         for at_tables, at_steps in zip(*read):
             assert np.array_equal(at_tables, at_steps)
 
+    def test_a_looser_tolerance_stops_sooner_near_the_strict_solution(self):
+        design = default_design(n=300, seed=0)
+        packed, params = PackedData(generate_dataset(design)[0], 3, 2), design.params
+        solve = jointmix.inference._solve_fixed_point
+        strict, loose = solve(packed, params, None), solve(packed, params, None, tol=1e-9)
+        assert strict.converged and loose.converged
+        assert loose.n_steps < strict.n_steps
+        assert np.max(np.abs(loose.gamma - strict.gamma)) <= 1e-8
+
+    @pytest.mark.parametrize("budget", [{"max_iter": 0}, {"tol": 0.0}, {"tol": -1e-9},
+                                        {"tol": np.inf}, {"tol": np.nan}])
+    def test_a_bad_budget_or_tolerance_raises(self, budget):
+        params, records, _ = dataset_and_gamma(95, n=20)
+        packed = PackedData.coerce(records, 3, 2)
+        with pytest.raises(ValueError, match="max_iter|tol"):
+            jointmix.inference._solve_fixed_point(packed, params, None, **budget)
+
     def test_consistency_of_fixed_point(self):
         params, records, _ = dataset_and_gamma(80, n=40)
         gamma, tables = fixed_point_posterior(records, params)
