@@ -233,5 +233,4 @@ class PackedData:
         return self._running_sums_at(values, self._suffix_at_slots)
 
     def _running_sums_at(self, values: np.ndarray, at: np.ndarray) -> np.ndarray:
-        running = np.cumsum(np.take(values, self._desc_order, axis=0), axis=0)
-        return np.take(running, at, axis=0)
+        return values.take(self._desc_order, axis=0).cumsum(axis=0).take(at, axis=0)

@@ -260,7 +260,7 @@ def m_step_theta(data, posterior, params: ModelParams) -> ModelParams:
 
     def neg_q(y: np.ndarray):
         """Value and gradient of -Q/n at optimizer coordinates ``y``."""
-        if not np.all(np.isfinite(y)):     # unpack_opt below rejects such points
+        if not np.isfinite(y).all():     # unpack_opt below rejects such points
             return np.inf, np.zeros(layout.n_free)
         value, grad = q.value_and_grad(layout.unpack_opt(y, params.pi))
         if not np.isfinite(value):
@@ -269,7 +269,7 @@ def m_step_theta(data, posterior, params: ModelParams) -> ModelParams:
 
     y = None
     for k, (y, _, g) in enumerate(_bfgs(neg_q, layout.pack_opt(params))):
-        if k == _M_STEP_MAX_ITER or np.max(np.abs(g)) <= _INNER_GTOL:
+        if k == _M_STEP_MAX_ITER or abs(g).max() <= _INNER_GTOL:
             break
     if y is None:
         raise MStepError("objective is not finite at the entry point", params)
@@ -344,30 +344,30 @@ class _ProfileObjective:
         self.last: tuple[np.ndarray, ModelParams, float] | None = None
         self.n_eval = 0
         self.n_steps = 0
+        self._ones = np.ones(packed.n)
 
     def __call__(self, z: np.ndarray):
         self.n_eval += 1
-        failed = np.inf, np.zeros(z.size)
-        if not np.all(np.isfinite(z)):
-            return failed
+        if not np.isfinite(z).all():
+            return np.inf, np.zeros(z.size)
         lay, packed = self.layout, self.packed
         y = z[:lay.n_free]
+        logit = np.concatenate([[0.0], z[lay.n_free:]])
         try:
+            with np.errstate(over="raise", under="raise"):
+                pi = np.exp(logit - logit.max())
             with np.errstate(over="raise"):
-                logit = np.concatenate([[0.0], z[lay.n_free:]])
-                with np.errstate(under="raise"):
-                    pi = np.exp(logit - logit.max())
                 params = lay.unpack_opt(y, pi / pi.sum())
                 solve, grad = _inference._profile_point(packed, params, self.gamma,
                                                         tol=_ASCENT_FIXED_POINT_TOL)
         except (DegenerateSubjectError, _survival.EmptyRiskSetError, FloatingPointError):
-            return failed
+            return np.inf, np.zeros(z.size)
         self.n_steps += solve.n_steps
-        if not (solve.converged and np.isfinite(solve.loglik) and np.all(np.isfinite(grad))):
-            return failed
+        if not (solve.converged and np.isfinite(solve.loglik) and np.isfinite(grad).all()):
+            return np.inf, np.zeros(z.size)
         self.gamma = solve.gamma
         self.last = z, params, solve.loglik
-        pi_score = (np.ones(packed.n) @ solve.gamma)[1:] / packed.n - params.pi[1:]
+        pi_score = (self._ones @ solve.gamma)[1:] / packed.n - params.pi[1:]
         g_opt = -lay.grad_to_opt(grad, y[lay.sl_phi]) * (1.0 / packed.n)
         return -solve.loglik / packed.n, np.concatenate([g_opt, -pi_score])
 

@@ -178,8 +178,9 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
     Every (n, R) array here is column-major, as the linear predictors and
     the ordinal log-likelihoods are, so numpy's elementwise loops run down a
     group's column of n subjects rather than along rows of R = 2 or 3; at
-    n = 10 000 a step's broadcasts take a quarter to a half of their row-major
-    time.  ``gamma0`` (the prior weights when None) is copied into that
+    n = 10 000 a broadcast such as ``cum_at[:, None] * e`` takes 30% (R = 2)
+    to 40% (R = 3) of its row-major time (median timeit, one BLAS thread,
+    2-core Intel Xeon).  ``gamma0`` (the prior weights when None) is copied into that
     order, so the caller's array is never aliased or written.  The returned
     responsibilities are a new array that owns its data, column-major and
     read-only, so :class:`survival.RiskSetTables` shares it rather than
@@ -197,7 +198,7 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
     for n_steps in range(1, max_iter + 1):
         jumps, cum_at = _survival.breslow_steps(packed, (gamma * e) @ ones)
         rowmax, total, gamma_new = _posterior_parts(packed, fixed - cum_at[:, None] * e)
-        converged = float(np.max(np.abs(gamma_new - gamma))) < tol
+        converged = abs(gamma_new - gamma).max() < tol
         gamma = gamma_new
         if converged:
             break

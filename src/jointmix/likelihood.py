@@ -63,18 +63,21 @@ def _posterior_parts(packed: PackedData, comp: np.ndarray) -> tuple[np.ndarray, 
     first two, so a caller that needs only the posterior takes no logarithm.
     One pass over the components: the row max is taken column by column and
     the row sums as a BLAS product.  On the column-major arrays of the fit
-    (n = 10 000, R = 2) these take 6 and 8 us against 8 and 12 us for
+    (n = 10 000, R = 2) these take 4.7 and 6.4 us against 6.0 and 8.4 us for
     ``max(axis=1)`` and ``sum(axis=1)``; on a row-major array the two axis
-    reductions take 470 and 177 us.  The results keep the layout of ``comp``.
+    reductions take 363 and 155 us (median timeit, one BLAS thread, 2-core
+    Intel Xeon).  The responsibilities are normalized in place.  The results
+    keep the layout of ``comp``.
     """
     rowmax = functools.reduce(np.maximum, comp.T)
-    if not np.all(np.isfinite(rowmax)):
+    if not np.isfinite(rowmax).all():
         bad = int(np.flatnonzero(~np.isfinite(rowmax))[0])
         raise DegenerateSubjectError(
             f"subject {packed.subject_ids[bad]!r}: zero density in every component")
     gamma = np.exp(comp - rowmax[:, None])
     total = gamma @ np.ones(comp.shape[1])
-    return rowmax, total, gamma / total[:, None]
+    gamma /= total[:, None]
+    return rowmax, total, gamma
 
 
 def _observed_loglik(rowmax: np.ndarray, total: np.ndarray) -> float:

@@ -35,11 +35,11 @@ class OrdinalParams:
             raise ValueError("need at least two response levels")
         if b.size < 1:
             raise ValueError("need at least one item")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(phi)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(a).all() and np.isfinite(phi).all() and np.isfinite(b).all()):
             raise ValueError("parameters must be finite")
         if a[0] != 0.0 or b[0] != 0.0 or phi[0] != 0.0 or phi[-1] != 1.0:
             raise ValueError("constraints a[1]=0, b[1]=0, phi[1]=0, phi[L]=1 must hold exactly")
-        if np.any(np.diff(phi) < 0):
+        if (phi[1:] < phi[:-1]).any():
             raise ValueError("phi must be nondecreasing")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "phi", phi)

@@ -13,6 +13,7 @@ keeps 0 = phi[1] < phi[2] < ... < phi[L] = 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +41,11 @@ class ModelParams:
             raise ValueError("theta must be a 1-d vector with at least one group")
         if theta[0] != 0.0:
             raise ValueError("theta[1] = 0 must hold exactly")
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise ValueError("theta must be finite")
         if pi.shape != theta.shape:
             raise ValueError("pi must have one weight per group")
-        if np.any(pi <= 0) or abs(pi.sum() - 1.0) > _SIMPLEX_TOL:
+        if (pi <= 0).any() or abs(pi.sum() - 1.0) > _SIMPLEX_TOL:
             raise ValueError("pi must lie on the open simplex")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "pi", pi)
@@ -69,15 +70,14 @@ class ParamLayout:
         if n_groups < 1 or n_levels < 2 or n_items < 1:
             raise ValueError("need n_groups >= 1, n_levels >= 2, n_items >= 1")
         self.R, self.L, self.J = n_groups, n_levels, n_items
-        sizes = [self.R - 1, self.L - 1, self.J - 1, self.L - 2, 2]
-        edges = np.cumsum([0] + sizes)
+        edges = list(itertools.accumulate([0, self.R - 1, self.L - 1, self.J - 1, self.L - 2]))
         self.sl_theta = slice(edges[0], edges[1])
         self.sl_a = slice(edges[1], edges[2])
         self.sl_b = slice(edges[2], edges[3])
         self.sl_phi = slice(edges[3], edges[4])
-        self.idx_d0 = int(edges[4])
-        self.idx_d1 = int(edges[4]) + 1
-        self.n_free = int(edges[4]) + 2
+        self.idx_d0 = edges[4]
+        self.idx_d1 = edges[4] + 1
+        self.n_free = edges[4] + 2
 
     @property
     def names(self) -> list[str]:
@@ -102,14 +102,28 @@ class ParamLayout:
         ])
 
     def unpack(self, x: np.ndarray, pi: np.ndarray) -> ModelParams:
+        x = self._free_vector(x)
+        phi = np.empty(self.L)
+        phi[0] = 0.0
+        phi[1:-1] = x[self.sl_phi]
+        phi[-1] = 1.0
+        return self._params(x, phi, pi)
+
+    def _free_vector(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_free,):
             raise ValueError(f"expected a free vector of length {self.n_free}")
-        theta = np.concatenate([[0.0], x[self.sl_theta]])
-        a = np.concatenate([[0.0], x[self.sl_a]])
-        b = np.concatenate([[0.0], x[self.sl_b]])
-        phi = np.concatenate([[0.0], x[self.sl_phi], [1.0]])
-        return ModelParams(theta, OrdinalParams(a, phi, b),
+        return x
+
+    def _params(self, x: np.ndarray, phi: np.ndarray, pi: np.ndarray) -> ModelParams:
+        """``ModelParams`` of the free vector ``x``, with ``phi`` a new array of all L scores.
+
+        theta, a, b and phi are new owning arrays, made read-only here, so the
+        parameter classes keep them rather than copy them.
+        """
+        phi.flags.writeable = False
+        return ModelParams(_after_zero(x[self.sl_theta]),
+                           OrdinalParams(_after_zero(x[self.sl_a]), phi, _after_zero(x[self.sl_b])),
                            SurvivalParams(float(x[self.idx_d0]), float(x[self.idx_d1])), pi)
 
     # --- unconstrained optimizer coordinates: phi block replaced by u ---
@@ -120,17 +134,24 @@ class ParamLayout:
         return x
 
     def unpack_opt(self, y: np.ndarray, pi: np.ndarray) -> ModelParams:
-        y = np.asarray(y, dtype=float)
-        x = y.copy()
-        x[self.sl_phi] = phi_from_u(y[self.sl_phi], self.L)[1:self.L - 1]
-        return self.unpack(x, pi)
+        y = self._free_vector(y)
+        return self._params(y, phi_from_u(y[self.sl_phi], self.L), pi)
 
     def grad_to_opt(self, grad_natural: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Map natural-coordinate gradients (last axis) to optimizer coordinates (chain rule on phi)."""
         out = np.array(grad_natural, dtype=float)
         if self.L > 2:
-            out[..., self.sl_phi] = _phi_chain(out[..., self.sl_phi], np.asarray(u, float), self.L)
+            out[..., self.sl_phi] = _phi_chain(out[..., self.sl_phi], u)
         return out
+
+
+def _after_zero(values: np.ndarray) -> np.ndarray:
+    """A new read-only array holding 0 and then ``values``."""
+    out = np.empty(values.size + 1)
+    out[0] = 0.0
+    out[1:] = values
+    out.flags.writeable = False
+    return out
 
 
 # free scores are bounded so phi increments can never underflow to exact ties
@@ -144,17 +165,24 @@ def phi_from_u(u: np.ndarray, n_levels: int) -> np.ndarray:
     u has length L-2 (u[L] = 0 is absorbed); phi[l] = sum_{k<=l} s_k / sum_k s_k
     with s_k = exp(u_k), so 0 = phi[1] < ... < phi[L] = 1 holds by construction.
     """
-    u = np.clip(np.asarray(u, dtype=float), -_U_BOUND, _U_BOUND)
+    u = np.asarray(u, dtype=float).clip(-_U_BOUND, _U_BOUND)
     if u.shape != (n_levels - 2,):
         raise ValueError(f"expected {n_levels - 2} free scores")
-    shift = u.max(initial=0.0)
-    s = np.exp(np.concatenate([u - shift, [-shift]]))
-    csum = np.cumsum(s)
+    csum = _score_steps(u).cumsum()
     phi = np.empty(n_levels)
     phi[0] = 0.0
     phi[1:] = csum / csum[-1]
     phi[-1] = 1.0
     return phi
+
+
+def _score_steps(u: np.ndarray) -> np.ndarray:
+    """s_k = exp(u_k - shift) for the clipped free scores u and u[L] = 0, shift = max(u, 0)."""
+    s = np.empty(u.size + 1)
+    s[:-1] = u
+    s[-1] = 0.0
+    s -= u.max(initial=0.0)
+    return np.exp(s, out=s)
 
 
 def u_from_phi(phi: np.ndarray) -> np.ndarray:
@@ -166,7 +194,7 @@ def u_from_phi(phi: np.ndarray) -> np.ndarray:
     return np.clip(np.log(diffs[:-1] / diffs[-1]), -_U_BOUND, _U_BOUND)
 
 
-def _phi_chain(grad_phi: np.ndarray, u: np.ndarray, n_levels: int) -> np.ndarray:
+def _phi_chain(grad_phi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Map phi-gradients (last axis, length L-2) to u-gradients through :func:`phi_from_u`.
 
     d phi_l / d u_k = s_k (1{k<=l} - phi_l) / S for l, k in 2..L-1, and zero
@@ -174,12 +202,10 @@ def _phi_chain(grad_phi: np.ndarray, u: np.ndarray, n_levels: int) -> np.ndarray
     move with it.
     """
     u = np.asarray(u, dtype=float)
-    inside = np.abs(u) < _U_BOUND
-    u = np.clip(u, -_U_BOUND, _U_BOUND)
-    phi = phi_from_u(u, n_levels)
-    shift = u.max(initial=0.0)
-    s = np.exp(np.concatenate([u - shift, [-shift]]))
-    w = np.where(inside, s[:-1] / s.sum(), 0.0)
+    s = _score_steps(u.clip(-_U_BOUND, _U_BOUND))
+    csum = s.cumsum()
+    w = np.where(abs(u) < _U_BOUND, s[:-1] / s.sum(), 0.0)
     grad_phi = np.asarray(grad_phi, dtype=float)
-    suffix = np.cumsum(grad_phi[..., ::-1], axis=-1)[..., ::-1]
-    return w * (suffix - (grad_phi @ phi[1:n_levels - 1])[..., None])
+    suffix = grad_phi[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    # phi[2..L-1] as phi_from_u forms it
+    return w * (suffix - (grad_phi @ (csum[:-1] / csum[-1]))[..., None])

@@ -82,6 +82,29 @@ class TestOrdinalParamsInvariants:
         with pytest.raises(ValueError):
             OrdinalParams(a=np.array([0.0, 0.0]), phi=np.array([0.0, 1.0]), b=np.array([0.1]))
 
+    @pytest.mark.parametrize("a, phi, b, message", [
+        ([[0.0, 0.1]], [0.0, 1.0], [0.0], "a, phi and b must be 1-d"),
+        ([0.0, 0.1], [[0.0, 1.0]], [0.0], "a, phi and b must be 1-d"),
+        ([0.0, 0.1], [0.0, 1.0], [[0.0]], "a, phi and b must be 1-d"),
+        ([0.0, 0.1, 0.2], [0.0, 1.0], [0.0], r"a and phi must have the same length"),
+        ([0.0], [0.0], [0.0], "need at least two response levels"),
+        ([0.0, 0.1], [0.0, 1.0], [], "need at least one item"),
+        ([0.0, np.nan], [0.0, 1.0], [0.0], "parameters must be finite"),
+        ([0.0, 0.1, 0.2], [0.0, np.inf, 1.0], [0.0], "parameters must be finite"),
+        ([0.0, 0.1], [0.0, 1.0], [0.0, -np.inf], "parameters must be finite"),
+        ([0.1, 0.0], [0.0, 1.0], [0.0], "constraints a.1.=0, b.1.=0, phi.1.=0, phi.L.=1"),
+        ([0.0, 0.0], [0.0, 1.0], [0.1], "constraints a.1.=0, b.1.=0, phi.1.=0, phi.L.=1"),
+        ([0.0, 0.0, 0.0], [0.1, 0.5, 1.0], [0.0],
+         "constraints a.1.=0, b.1.=0, phi.1.=0, phi.L.=1"),
+        ([0.0, 0.0], [0.0, 0.9], [0.0], "constraints a.1.=0, b.1.=0, phi.1.=0, phi.L.=1"),
+        ([0.0, 0.0, 0.0, 0.0], [0.0, 0.8, 0.5, 1.0], [0.0], "phi must be nondecreasing"),
+        ([0.0, 0.0, 0.0, 0.0], [0.0, 0.5, np.nextafter(0.5, 0.0), 1.0], [0.0],
+         "phi must be nondecreasing"),
+    ])
+    def test_each_check_raises_its_message(self, a, phi, b, message):
+        with pytest.raises(ValueError, match=message):
+            OrdinalParams(a=np.array(a), phi=np.array(phi), b=np.array(b))
+
     def test_nondecreasing_ties_allowed(self):
         OrdinalParams(a=np.array([0.0, 0.1, 0.2, 0.3]), phi=np.array([0.0, 0.5, 0.5, 1.0]),
                       b=np.array([0.0]))

@@ -24,6 +24,31 @@ class TestModelParams:
                         np.array([0.6, 0.6]))
 
 
+    @pytest.mark.parametrize("theta, pi, message", [
+        (np.zeros((1, 2)), np.array([0.5, 0.5]), "theta must be a 1-d vector"),
+        (np.zeros(0), np.zeros(0), "theta must be a 1-d vector"),
+        (np.array([0.1, 1.0]), np.array([0.5, 0.5]), r"theta\[1\] = 0 must hold exactly"),
+        (np.array([0.0, np.nan]), np.array([0.5, 0.5]), "theta must be finite"),
+        (np.array([0.0, -np.inf]), np.array([0.5, 0.5]), "theta must be finite"),
+        (np.array([0.0, 1.0]), np.array([0.2, 0.3, 0.5]), "pi must have one weight per group"),
+        (np.array([0.0, 1.0]), np.array([[0.5, 0.5]]), "pi must have one weight per group"),
+        (np.array([0.0, 1.0]), np.array([1.5, -0.5]), "pi must lie on the open simplex"),
+        (np.array([0.0, 1.0]), np.array([1.0, 0.0]), "pi must lie on the open simplex"),
+        (np.array([0.0, 1.0]), np.array([0.6, 0.6]), "pi must lie on the open simplex"),
+        (np.array([0.0, 1.0]), np.array([0.5, 0.5 + 1e-11]), "pi must lie on the open simplex"),
+    ])
+    def test_each_check_raises_its_message(self, theta, pi, message):
+        ordinal = OrdinalParams(np.array([0.0, 0.1]), np.array([0.0, 1.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match=message):
+            ModelParams(theta, ordinal, SurvivalParams(0.0, 0.0), pi)
+
+    def test_pi_within_the_simplex_tolerance_is_accepted(self):
+        ordinal = OrdinalParams(np.array([0.0, 0.1]), np.array([0.0, 1.0]), np.array([0.0]))
+        params = ModelParams(np.array([0.0, 1.0]), ordinal, SurvivalParams(0.0, 0.0),
+                             np.array([0.5, 0.5 + 1e-13]))
+        assert not params.theta.flags.writeable and not params.pi.flags.writeable
+
+
 class TestLayout:
     @pytest.mark.parametrize("dims", [(1, 2, 1), (2, 3, 2), (3, 5, 4)])
     def test_pack_unpack_roundtrip(self, dims):
@@ -48,6 +73,72 @@ class TestLayout:
         y = layout.pack_opt(params)
         back = layout.unpack_opt(y, params.pi)
         np.testing.assert_allclose(back.ordinal.phi, params.ordinal.phi, rtol=1e-12)
+
+    @pytest.mark.parametrize("method", ["unpack", "unpack_opt"])
+    @pytest.mark.parametrize("size", [9, 11])
+    def test_wrong_length_raises(self, method, size):
+        layout = ParamLayout(2, 4, 3)
+        assert layout.n_free == 10
+        with pytest.raises(ValueError, match="expected a free vector of length 10"):
+            getattr(layout, method)(np.zeros(size), np.array([0.4, 0.6]))
+
+    @pytest.mark.parametrize("size", [0, 7])
+    def test_short_opt_vector_raises(self, size):
+        # too short to hold the free scores
+        with pytest.raises(ValueError, match="^expected "):
+            ParamLayout(2, 4, 3).unpack_opt(np.zeros(size), np.array([0.4, 0.6]))
+
+    @pytest.mark.parametrize("method", ["unpack", "unpack_opt"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, method, value):
+        layout = ParamLayout(2, 4, 3)
+        pi = np.array([0.4, 0.6])
+        base = np.zeros(layout.n_free)
+        base[layout.sl_phi] = [0.3, 0.6]
+        blocks = {"theta": layout.sl_theta, "a": layout.sl_a, "b": layout.sl_b,
+                  "phi": layout.sl_phi}
+        messages = dict.fromkeys(("a", "b", "phi"), "parameters must be finite")
+        messages["theta"] = "theta must be finite"
+        for name, sl in blocks.items():
+            if method == "unpack_opt" and name == "phi" and np.isinf(value):
+                continue    # an infinite free score is clipped: see the next test
+            for k in range(sl.start, sl.stop):
+                x = base.copy()
+                x[k] = value
+                with pytest.raises(ValueError, match=messages[name]):
+                    getattr(layout, method)(x, pi)
+        for k in (layout.idx_d0, layout.idx_d1):
+            x = base.copy()
+            x[k] = value
+            with pytest.raises(ValueError, match="delta coefficients must be finite"):
+                getattr(layout, method)(x, pi)
+
+    def test_infinite_free_score_is_clipped(self):
+        layout = ParamLayout(2, 5, 2)
+        pi = np.array([0.4, 0.6])
+        y = np.zeros(layout.n_free)
+        y[layout.sl_phi] = [np.inf, -np.inf, 0.2]
+        clipped = y.copy()
+        clipped[layout.sl_phi] = [15.0, -15.0, 0.2]
+        np.testing.assert_array_equal(layout.unpack_opt(y, pi).ordinal.phi,
+                                      layout.unpack_opt(clipped, pi).ordinal.phi)
+
+    def test_unpacked_arrays_are_read_only(self):
+        layout = ParamLayout(2, 4, 3)
+        x = np.arange(layout.n_free, dtype=float) / 10
+        x[layout.sl_phi] = [0.3, 0.6]
+        pi = np.array([0.4, 0.6])
+        for params in (layout.unpack(x, pi), layout.unpack_opt(x, pi)):
+            for arr in (params.theta, params.ordinal.a, params.ordinal.phi, params.ordinal.b,
+                        params.pi):
+                assert not arr.flags.writeable
+            packed = layout.pack(params)
+            x[:] = -1.0           # the decoded arrays share no memory with x or pi
+            pi[:] = 0.5
+            np.testing.assert_array_equal(layout.pack(params), packed)
+            x = np.arange(layout.n_free, dtype=float) / 10
+            x[layout.sl_phi] = [0.3, 0.6]
+            pi = np.array([0.4, 0.6])
 
     def test_names_are_one_based(self):
         layout = ParamLayout(2, 3, 2)
@@ -82,7 +173,7 @@ class TestPhiReparameterization:
         L = 5
         u = rng.normal(0, 1, L - 2)
         grad_phi = rng.normal(0, 1, L - 2)
-        analytic = _phi_chain(grad_phi, u, L)
+        analytic = _phi_chain(grad_phi, u)
         step = 1e-7
         numeric = np.zeros_like(u)
         for k in range(u.size):
@@ -97,7 +188,7 @@ class TestPhiReparameterization:
         L = 5
         u = np.array([20.0, 0.3, -1.0])
         grad_phi = np.array([0.7, -1.3, 0.4])
-        analytic = _phi_chain(grad_phi, u, L)
+        analytic = _phi_chain(grad_phi, u)
         step = 1e-6
         numeric = np.zeros_like(u)
         for k in range(u.size):
@@ -113,6 +204,6 @@ class TestPhiReparameterization:
         L = 5
         u = rng.normal(0, 1, L - 2)
         rows = rng.normal(0, 1, (4, L - 2))
-        mapped = _phi_chain(rows, u, L)
+        mapped = _phi_chain(rows, u)
         for row, out in zip(rows, mapped):
-            np.testing.assert_allclose(out, _phi_chain(row, u, L), rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(out, _phi_chain(row, u), rtol=1e-14, atol=1e-15)
