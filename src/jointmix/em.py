@@ -477,6 +477,21 @@ def _fit_restart(packed: PackedData, params: ModelParams, config: EMConfig) -> R
     return RestartRecord(params, gamma, np.asarray(trace), n_iter, steps, status)
 
 
+def _best_restart(restarts: list[RestartRecord], tol_loglik: float) -> RestartRecord:
+    """The first restart whose final log-likelihood is within ``tol_loglik`` of the highest.
+
+    Only the converged restarts compete, or all of them when none converged.
+    "Within" is relative, as the stopping rule measures it: tol_loglik *
+    max(1, |highest|).  Restarts that stop at one optimum differ by less, so
+    the last bits of their log-likelihoods do not decide which one, and so
+    which ``n_iter``, is reported.
+    """
+    pool = [r for r in restarts if r.converged] or restarts
+    top = max(r.trace[-1] for r in pool)
+    floor = top - tol_loglik * max(1.0, abs(top))
+    return next((r for r in pool if r.trace[-1] >= floor), pool[0])
+
+
 def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams | None = None,
            n_levels: int | None = None, n_items: int | None = None) -> FitResult:
     """Fit the joint mixture by maximizing the profile likelihood, with restarts.
@@ -508,8 +523,9 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
     Returns
     -------
     FitResult
-        Best restart (converged first, then by final log-likelihood), relabeled
-        so theta is ascending, with the hazard profiled from its fixed-point
+        Best restart (converged first, then the first in restart order within
+        ``config.tol_loglik`` of the highest final log-likelihood; see
+        :func:`_best_restart`), relabeled so theta is ascending, with the hazard profiled from its fixed-point
         responsibilities, the empirical efficient information matrix and
         model-based standard errors, all taken at those responsibilities.
         The fit keeps no responsibilities: ``posterior`` is the E-step at
@@ -538,7 +554,7 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
             rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(s,)))
             params0 = draw_initial_params(rng, n_groups, packed.n_levels, packed.n_items)
         restarts.append(_fit_restart(packed, params0, config))
-    best = max(restarts, key=lambda r: (r.converged, r.trace[-1]))
+    best = _best_restart(restarts, config.tol_loglik)
     diagnostics = [] if best.converged else [f"no converged restart; best status: {best.status}"]
 
     params, _, gamma = relabel_ascending(best.params, None, best.gamma)

@@ -384,6 +384,42 @@ class TestEmFit:
         assert fit.converged and not moved.converged
         assert "first-order condition not met at exit" in moved.diagnostics
 
+    @pytest.mark.parametrize("gap, first_status, chosen", [
+        (0.5, "converged", 0),     # a tie within tolerance goes to the first restart
+        (-0.5, "converged", 0),
+        (2.0, "converged", 1),     # a gap larger than the tolerance still wins
+        (-2.0, "converged", 0),
+        (-2.0, "max_iter", 1),     # a converged restart beats a higher unconverged one
+        (2.0, "max_iter", 1),
+    ])
+    def test_best_restart_is_the_first_within_the_loglik_tolerance(
+            self, converged_fit, monkeypatch, gap, first_status, chosen):
+        # both restarts are one real restart's record; the second ends gap * tol_loglik *
+        # max(1, |l|) above the first, and n_iter tells which one the fit reports
+        _, records, _ = converged_fit
+        config = EMConfig(n_restarts=2, max_iter=4000, seed=5)
+        fit_restart, made = jointmix.em._fit_restart, []
+
+        def twin(packed, params, config):
+            if not made:
+                made.append(fit_restart(packed, params, config))
+            record = made[0]
+            k = len(made) - 1
+            ll = record.trace[-1]
+            if k == 1:
+                ll += gap * config.tol_loglik * max(1.0, abs(ll))
+            made.append(dataclasses.replace(
+                record, trace=np.append(record.trace[:-1], ll), n_iter=100 + k,
+                status=first_status if k == 0 else "converged"))
+            return made[-1]
+
+        monkeypatch.setattr(jointmix.em, "_fit_restart", twin)
+        fit = em_fit(records, 2, config)
+        assert made[0].converged and len(made) == 3
+        assert fit.n_iter == 100 + chosen
+        assert fit.loglik == made[1 + chosen].trace[-1]
+        assert fit.converged
+
     def test_an_aborted_restart_keeps_its_last_accepted_point(self, converged_fit, monkeypatch):
         # the BFGS start fails after the ascent's first evaluation: the restart reports
         # that point, with the opening EM step and that evaluation in its trace
@@ -556,9 +592,9 @@ class TestAscentTolerance:
             fit = em_fit(records, 2, config)
         return fit, kept
 
-    @staticmethod
-    def best(restarts):
-        return max(restarts, key=lambda r: (r.converged, r.trace[-1]))
+    @classmethod
+    def best(cls, restarts):
+        return jointmix.em._best_restart(restarts, cls.GOLDEN_CONFIG.tol_loglik)
 
     def test_every_restart_exits_at_a_strict_fixed_point(self, converged_fit, monkeypatch):
         # an aborted restart too: its ascent fails at the 11th evaluation, mid-ascent
