@@ -344,7 +344,6 @@ class _ProfileObjective:
         self.last: tuple[np.ndarray, ModelParams, float] | None = None
         self.n_eval = 0
         self.n_steps = 0
-        self._ones = np.ones(packed.n)
 
     def __call__(self, z: np.ndarray):
         self.n_eval += 1
@@ -367,7 +366,7 @@ class _ProfileObjective:
             return np.inf, np.zeros(z.size)
         self.gamma = solve.gamma
         self.last = z, params, solve.loglik
-        pi_score = (self._ones @ solve.gamma)[1:] / packed.n - params.pi[1:]
+        pi_score = (np.ones(packed.n) @ solve.gamma)[1:] / packed.n - params.pi[1:]
         g_opt = -lay.grad_to_opt(grad, y[lay.sl_phi]) * (1.0 / packed.n)
         return -solve.loglik / packed.n, np.concatenate([g_opt, -pi_score])
 
@@ -525,9 +524,10 @@ def em_fit(data, n_groups: int, config: EMConfig = EMConfig(), init: ModelParams
     FitResult
         Best restart (converged first, then the first in restart order within
         ``config.tol_loglik`` of the highest final log-likelihood; see
-        :func:`_best_restart`), relabeled so theta is ascending, with the hazard profiled from its fixed-point
-        responsibilities, the empirical efficient information matrix and
-        model-based standard errors, all taken at those responsibilities.
+        :func:`_best_restart`), relabeled so theta is ascending, with the
+        hazard profiled from its fixed-point responsibilities, the empirical
+        efficient information matrix and model-based standard errors, all
+        taken at those responsibilities.
         The fit keeps no responsibilities: ``posterior`` is the E-step at
         ``(params, hazard)``, computed on first read.  At a converged exit
         that is one more fixed-point step, so it differs from the

@@ -66,15 +66,16 @@ def _posterior_parts(packed: PackedData, comp: np.ndarray) -> tuple[np.ndarray, 
     (n = 10 000, R = 2) these take 4.7 and 6.4 us against 6.0 and 8.4 us for
     ``max(axis=1)`` and ``sum(axis=1)``; on a row-major array the two axis
     reductions take 363 and 155 us (median timeit, one BLAS thread, 2-core
-    Intel Xeon).  The responsibilities are normalized in place.  The results
-    keep the layout of ``comp``.
+    Intel Xeon).  The exponentials and the responsibilities are formed in the
+    one array returned.  The results keep the layout of ``comp``.
     """
     rowmax = functools.reduce(np.maximum, comp.T)
     if not np.isfinite(rowmax).all():
         bad = int(np.flatnonzero(~np.isfinite(rowmax))[0])
         raise DegenerateSubjectError(
             f"subject {packed.subject_ids[bad]!r}: zero density in every component")
-    gamma = np.exp(comp - rowmax[:, None])
+    gamma = comp - rowmax[:, None]
+    np.exp(gamma, out=gamma)
     total = gamma @ np.ones(comp.shape[1])
     gamma /= total[:, None]
     return rowmax, total, gamma

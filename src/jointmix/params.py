@@ -103,11 +103,7 @@ class ParamLayout:
 
     def unpack(self, x: np.ndarray, pi: np.ndarray) -> ModelParams:
         x = self._free_vector(x)
-        phi = np.empty(self.L)
-        phi[0] = 0.0
-        phi[1:-1] = x[self.sl_phi]
-        phi[-1] = 1.0
-        return self._params(x, phi, pi)
+        return self._params(x, np.concatenate([[0.0], x[self.sl_phi], [1.0]]), pi)
 
     def _free_vector(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -116,10 +112,10 @@ class ParamLayout:
         return x
 
     def _params(self, x: np.ndarray, phi: np.ndarray, pi: np.ndarray) -> ModelParams:
-        """``ModelParams`` of the free vector ``x``, with ``phi`` a new array of all L scores.
+        """``ModelParams`` of the free vector ``x`` with ``phi``, a new array of all L scores.
 
-        theta, a, b and phi are new owning arrays, made read-only here, so the
-        parameter classes keep them rather than copy them.
+        theta, a, b and phi are new arrays made read-only here, which the
+        parameter classes keep rather than copy.
         """
         phi.flags.writeable = False
         return ModelParams(_after_zero(x[self.sl_theta]),
@@ -147,9 +143,7 @@ class ParamLayout:
 
 def _after_zero(values: np.ndarray) -> np.ndarray:
     """A new read-only array holding 0 and then ``values``."""
-    out = np.empty(values.size + 1)
-    out[0] = 0.0
-    out[1:] = values
+    out = np.concatenate([[0.0], values])
     out.flags.writeable = False
     return out
 

@@ -112,7 +112,7 @@ def breslow_steps(packed: PackedData, w: np.ndarray) -> tuple[np.ndarray, np.nda
     is zero, and ``FloatingPointError`` when one is not finite.
     """
     s0 = packed.event_suffix_sums(w)
-    if not (s0 > 0).all():
+    if not s0.min(initial=np.inf) > 0:     # the minimum of totals with a NaN is NaN
         if not np.isfinite(s0).all():
             raise FloatingPointError("non-finite weighted risk set at an event time")
         raise EmptyRiskSetError("zero weighted risk set at an event time")

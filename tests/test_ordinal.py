@@ -100,7 +100,8 @@ class TestOrdinalParamsInvariants:
         ([0.0, 0.0, 0.0, 0.0], [0.0, 0.8, 0.5, 1.0], [0.0], "phi must be nondecreasing"),
         ([0.0, 0.0, 0.0, 0.0], [0.0, 0.5, np.nextafter(0.5, 0.0), 1.0], [0.0],
          "phi must be nondecreasing"),
-    ])
+    ], ids=["a-2d", "phi-2d", "b-2d", "a-phi-lengths", "one-level", "no-item", "a-nan", "phi-inf",
+            "b-inf", "a1", "b1", "phi1", "phiL", "phi-decreasing", "phi-decreasing-by-one-ulp"])
     def test_each_check_raises_its_message(self, a, phi, b, message):
         with pytest.raises(ValueError, match=message):
             OrdinalParams(a=np.array(a), phi=np.array(phi), b=np.array(b))

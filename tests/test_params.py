@@ -23,7 +23,6 @@ class TestModelParams:
             ModelParams(np.array([0.0, 1.0]), ordinal, SurvivalParams(0.0, 0.0),
                         np.array([0.6, 0.6]))
 
-
     @pytest.mark.parametrize("theta, pi, message", [
         (np.zeros((1, 2)), np.array([0.5, 0.5]), "theta must be a 1-d vector"),
         (np.zeros(0), np.zeros(0), "theta must be a 1-d vector"),
@@ -36,7 +35,8 @@ class TestModelParams:
         (np.array([0.0, 1.0]), np.array([1.0, 0.0]), "pi must lie on the open simplex"),
         (np.array([0.0, 1.0]), np.array([0.6, 0.6]), "pi must lie on the open simplex"),
         (np.array([0.0, 1.0]), np.array([0.5, 0.5 + 1e-11]), "pi must lie on the open simplex"),
-    ])
+    ], ids=["theta-2d", "theta-empty", "theta1", "theta-nan", "theta-inf", "pi-size", "pi-2d",
+            "pi-negative", "pi-zero", "pi-sum", "pi-sum-beyond-tolerance"])
     def test_each_check_raises_its_message(self, theta, pi, message):
         ordinal = OrdinalParams(np.array([0.0, 0.1]), np.array([0.0, 1.0]), np.array([0.0]))
         with pytest.raises(ValueError, match=message):
@@ -123,22 +123,19 @@ class TestLayout:
         np.testing.assert_array_equal(layout.unpack_opt(y, pi).ordinal.phi,
                                       layout.unpack_opt(clipped, pi).ordinal.phi)
 
-    def test_unpacked_arrays_are_read_only(self):
+    @pytest.mark.parametrize("method", ["unpack", "unpack_opt"])
+    def test_unpacked_arrays_are_read_only_copies(self, method):
         layout = ParamLayout(2, 4, 3)
         x = np.arange(layout.n_free, dtype=float) / 10
         x[layout.sl_phi] = [0.3, 0.6]
         pi = np.array([0.4, 0.6])
-        for params in (layout.unpack(x, pi), layout.unpack_opt(x, pi)):
-            for arr in (params.theta, params.ordinal.a, params.ordinal.phi, params.ordinal.b,
-                        params.pi):
-                assert not arr.flags.writeable
-            packed = layout.pack(params)
-            x[:] = -1.0           # the decoded arrays share no memory with x or pi
-            pi[:] = 0.5
-            np.testing.assert_array_equal(layout.pack(params), packed)
-            x = np.arange(layout.n_free, dtype=float) / 10
-            x[layout.sl_phi] = [0.3, 0.6]
-            pi = np.array([0.4, 0.6])
+        params = getattr(layout, method)(x, pi)
+        arrays = (params.theta, params.ordinal.a, params.ordinal.phi, params.ordinal.b, params.pi)
+        assert not any(arr.flags.writeable for arr in arrays)
+        packed = layout.pack(params)
+        x[:] = -1.0           # the decoded arrays share no memory with x or pi
+        pi[:] = 0.5
+        np.testing.assert_array_equal(layout.pack(params), packed)
 
     def test_names_are_one_based(self):
         layout = ParamLayout(2, 3, 2)
