@@ -187,8 +187,9 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
     against 102.4 MB with a new array for each operation.  ``gamma0`` (the
     prior weights when None) is copied into that order, so the caller's
     array is never aliased or written.  The returned responsibilities are a
-    new array that owns its data, column-major and read-only, so
-    :class:`survival.RiskSetTables` shares it rather than copying it.
+    new array that owns its data, column-major and read-only: they and the
+    log-likelihood describe one point, and a write to them would silently
+    break that while a fit keeps them as its warm start.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -210,7 +211,7 @@ def _solve_fixed_point(packed: PackedData, params: ModelParams, gamma0: np.ndarr
         if converged:
             break
     loglik = _observed_loglik(rowmax, total) + float(packed.slot_counts @ np.log(jumps))
-    gamma.flags.writeable = False             # RiskSetTables can then share it
+    gamma.flags.writeable = False             # it stays the posterior at the returned point
     return _FixedPoint(gamma, loglik, n_steps, converged)
 
 
@@ -221,9 +222,10 @@ def fixed_point_posterior(data, params: ModelParams, gamma0: np.ndarray | None =
     iterating the pair converges under the contraction condition checked by
     :func:`contraction_check`.  Iteration stops once no responsibility moves
     by 1e-12 or more, and warns after ``_FIXED_POINT_MAX_ITER`` (500) steps
-    without that.  Returns ``(gamma, tables)``: ``gamma`` is read-only, and the
-    tables are built from it and share it rather than copy it.  The iteration
-    itself is :func:`_solve_fixed_point`.
+    without that.  Returns ``(gamma, tables)``: the tables are the hazard
+    profiled from ``gamma`` and keep no copy of it; ``gamma`` is read-only,
+    so a write cannot make it disagree with them.  The iteration itself is
+    :func:`_solve_fixed_point`.
     """
     packed = PackedData.coerce(data, params.n_levels, params.n_items)
     solve = _solve_fixed_point(packed, params, gamma0)

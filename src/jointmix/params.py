@@ -45,7 +45,7 @@ class ModelParams:
             raise ValueError("theta must be finite")
         if pi.shape != theta.shape:
             raise ValueError("pi must have one weight per group")
-        if (pi <= 0).any() or abs(pi.sum() - 1.0) > _SIMPLEX_TOL:
+        if not ((pi > 0).all() and abs(pi.sum() - 1.0) <= _SIMPLEX_TOL):     # NaN fails both
             raise ValueError("pi must lie on the open simplex")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "pi", pi)

@@ -11,6 +11,10 @@ stored step hazard (:class:`HazardSteps`) and a simulation baseline all have
 one, and the E-step and the checks read nothing else.  Only
 :func:`loglik_matrix`, which takes the event log-jumps, needs the tables
 themselves.
+
+The tables are that hazard and nothing more: they keep no
+responsibilities.  The per-subject scores form their own M1/M0 table
+(:func:`_ratio`) from the responsibilities they are given.
 """
 
 from __future__ import annotations
@@ -124,62 +128,37 @@ def breslow_steps(packed: PackedData, w: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 class RiskSetTables:
-    """Dataset-wide aggregates for one parameter point, shared read-only.
+    """The hazard profiled by Breslow at one parameter point, shared read-only.
 
-    Holds the profiled hazard ``jumps`` and the M1/M0 table ``ratio`` on the
-    packed distinct observed ``times``.  The jumps are :func:`breslow_steps`'
-    jumps at the event times, scattered once onto that grid with zeros at
-    the censored-only times.  ``gamma`` is kept read-only: an
-    owning read-only float array, such as the column-major responsibilities
-    :func:`inference.fixed_point_posterior` returns, is shared as it is;
-    anything else is copied in its own memory order, so later writes to the
-    caller's array cannot reach the tables.
-    ``ratio`` is derived on first read and then kept, so tables that serve
-    only the hazard hold gamma and the jumps alone.  :meth:`cum` reads the
-    cumulative hazard from the jumps, as every hazard is read.
-
-    ``ratio[k]`` is M1/M0 at the k-th time in the score layout
-    [theta[2..R], delta0, delta1]: delta0 M0_r / M0 for r = 2..R, then
-    sum_r theta_r M0_r / M0, then M0_x / M0.  M0_r(t) sums gamma_ir exp(lp_ir)
-    over the risk set at t, divided by n; M0 = sum_r M0_r; M0_x weights M0 by X.
+    Holds the profiled hazard ``jumps`` on the packed distinct observed
+    ``times``, with the ``theta`` and ``delta`` it was profiled at.  The
+    jumps are :func:`breslow_steps`' jumps at the event times, scattered
+    once onto that grid with zeros at the censored-only times.  The
+    responsibilities enter the jumps only and are not kept, so later writes
+    to the caller's array cannot reach the tables.  :meth:`cum` reads the
+    cumulative hazard as :meth:`HazardSteps.cum` does.
     """
 
     def __init__(self, packed: PackedData, gamma: np.ndarray, theta: np.ndarray,
                  delta: SurvivalParams):
-        gamma = _readonly(gamma, float)
+        gamma = np.asarray(gamma, dtype=float)
         theta = _readonly(theta, float)
         if gamma.shape != (packed.n, theta.size):
             raise ValueError(f"gamma must have shape ({packed.n}, {theta.size})")
-        self.gamma = gamma
         self.theta = theta
         self.delta = delta
         self.times = packed.distinct_times
-        self._packed = packed
         w = gamma * np.exp(linear_predictors(theta, delta, packed.covariates))
         self.jumps = np.zeros(packed.n_times)
         self.jumps[packed.event_slots] = breslow_steps(packed, w @ np.ones(theta.size))[0]
         self.jumps.flags.writeable = False
 
-    @functools.cached_property
-    def ratio(self) -> np.ndarray:
-        packed, theta, delta = self._packed, self.theta, self.delta
-        ones = np.ones(theta.size)
-        w = self.gamma * np.exp(linear_predictors(theta, delta, packed.covariates))
-        # [M0_1..M0_R, M0_x] from one risk-set pass
-        sums = packed.suffix_sums(np.column_stack([w, (w @ ones) * packed.covariates])) / packed.n
-        by_group = sums[:, :-1]
-        m0 = by_group @ ones
-        m1 = np.column_stack([delta.delta0 * by_group[:, 1:], by_group @ theta, sums[:, -1]])
-        return m1 / np.where(m0 > 0, m0, 1.0)[:, None]    # (K, R+1)
-
     def cum(self, t):
         """Cumulative hazard at ``t`` (scalar or array), right-continuous.
 
-        Summed from the jumps at each call and read as :meth:`HazardSteps.cum`
-        reads its own; nothing is kept on the tables.
+        Read through :meth:`hazard_steps` at each call; nothing is kept on the tables.
         """
-        prefix = np.concatenate([[0.0], np.cumsum(self.jumps)])
-        return prefix[np.searchsorted(self.times, t, side="right")]
+        return self.hazard_steps().cum(t)
 
     def hazard_steps(self) -> HazardSteps:
         return HazardSteps(self.times, self.jumps)
@@ -236,6 +215,24 @@ def profiled_loglik(packed: PackedData, gamma: np.ndarray, theta: np.ndarray,
     return value, grad
 
 
+def _ratio(packed: PackedData, w: np.ndarray, total: np.ndarray, theta: np.ndarray,
+           delta: SurvivalParams) -> np.ndarray:
+    """The M1/M0 table on the packed times, shape (K, R+1), for risk weights ``w``.
+
+    ``w[i, r]`` is gamma_ir exp(lp_ir) and ``total`` its row sums.  Row k is
+    M1/M0 at the k-th time in the score layout [theta[2..R], delta0, delta1]:
+    delta0 M0_r / M0 for r = 2..R, then sum_r theta_r M0_r / M0, then
+    M0_x / M0.  M0_r(t) sums w_ir over the risk set at t, divided by n;
+    M0 = sum_r M0_r; M0_x weights M0 by X.
+    """
+    # [M0_1..M0_R, M0_x] from one risk-set pass
+    sums = packed.suffix_sums(np.column_stack([w, total * packed.covariates])) / packed.n
+    by_group = sums[:, :-1]
+    m0 = by_group @ np.ones(theta.size)
+    m1 = np.column_stack([delta.delta0 * by_group[:, 1:], by_group @ theta, sums[:, -1]])
+    return m1 / np.where(m0 > 0, m0, 1.0)[:, None]
+
+
 def _scores(packed: PackedData, gamma: np.ndarray, tables: RiskSetTables,
             mass: np.ndarray, cum_at: np.ndarray) -> np.ndarray:
     """Per-subject survival scores over [theta[2..R], delta0, delta1] at the hazard
@@ -243,16 +240,18 @@ def _scores(packed: PackedData, gamma: np.ndarray, tables: RiskSetTables,
 
     d [gv - M1/M0(T)] - gev Lambda(T) + total Int_0^T (M1/M0) dLambda, where
     gv = sum_r gamma_r v_r, gev = sum_r gamma_r exp(lp_r) v_r, v_r = (delta0
-    e_r, theta_r, X) and total = sum_r gamma_r exp(lp_r).
+    e_r, theta_r, X) and total = sum_r gamma_r exp(lp_r).  M1/M0 is
+    :func:`_ratio` at ``gamma`` and the tables' theta and delta.
     """
     theta, delta, x = tables.theta, tables.delta, packed.covariates
     ge = gamma * np.exp(linear_predictors(theta, delta, x))
     total = ge @ np.ones(theta.size)
+    ratio = _ratio(packed, ge, total, theta, delta)
     gv = np.column_stack([delta.delta0 * gamma[:, 1:], gamma @ theta, x])
     gev = np.column_stack([delta.delta0 * ge[:, 1:], ge @ theta, x * total])
     k = packed.time_index
-    integral = np.cumsum(mass[:, None] * tables.ratio, axis=0)
-    return (packed.events[:, None] * (gv - tables.ratio[k])
+    integral = np.cumsum(mass[:, None] * ratio, axis=0)
+    return (packed.events[:, None] * (gv - ratio[k])
             - gev * cum_at[k][:, None] + total[:, None] * integral[k])
 
 
@@ -261,7 +260,8 @@ def profile_scores(packed: PackedData, gamma: np.ndarray, tables: RiskSetTables)
 
     The derivative of the per-observation profiled log-likelihood with the
     posterior held constant, which is the efficient score :func:`_scores` at
-    the hazard profiled into ``tables``.
+    the hazard profiled into ``tables``.  ``gamma`` is the responsibilities
+    the tables were profiled from; M1/M0 is formed from it here.
     """
     return _scores(packed, gamma, tables, tables.jumps, np.cumsum(tables.jumps))
 

@@ -48,6 +48,14 @@ def random_gamma(rng, n, n_groups):
     return rng.dirichlet(np.ones(n_groups), size=n)
 
 
+def ratio_table(packed, gamma, theta, delta):
+    """``survival._ratio`` at ``gamma`` with the risk weights and totals ``survival._scores`` forms."""
+    from jointmix.survival import _ratio, linear_predictors
+    theta = np.asarray(theta, dtype=float)
+    ge = gamma * np.exp(linear_predictors(theta, delta, packed.covariates))
+    return _ratio(packed, ge, ge @ np.ones(theta.size), theta, delta)
+
+
 def random_dataset(rng, n, params, n_time_points=2, censor_upper=8.0):
     """Small generic dataset drawn from an arbitrary parameter point."""
     from jointmix.simulation import SimDesign, UniformCensoring, ConstantBaseline, generate_dataset

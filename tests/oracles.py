@@ -88,6 +88,21 @@ def risk_aggregates(t: float, data, gamma: np.ndarray, theta: np.ndarray,
     return m0, m1
 
 
+def ratio_oracle(t: float, data, gamma: np.ndarray, theta: np.ndarray,
+                 delta: SurvivalParams) -> np.ndarray:
+    """M1/M0 at time ``t`` in the score layout [theta[2..R], delta0, delta1].
+
+    delta0 M0_r / M0 for r = 2..R, then sum_r theta_r M0_r / M0, then
+    M0_x / M0, all from :func:`risk_aggregates`: M0_r is group r's M0, the
+    aggregates with every other group's weights zeroed.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    m0, m1 = risk_aggregates(t, data, gamma, theta, delta)
+    groups = np.arange(gamma.shape[1])
+    m0_r = [risk_aggregates(t, data, gamma * (groups == r), theta, delta)[0] for r in groups[1:]]
+    return np.concatenate([delta.delta0 * np.array(m0_r), m1[1:]]) / m0
+
+
 def profile_hazard(data, gamma: np.ndarray, theta: np.ndarray, delta: SurvivalParams) -> HazardSteps:
     """Profiled baseline hazard: event counts over weighted risk-set totals.
 
@@ -120,7 +135,7 @@ def _record_sums(rec: SurvivalRecord, gamma_row: np.ndarray, theta: np.ndarray,
     gv = sum_r gamma_r v_r and gev = sum_r gamma_r exp(lp_r) v_r in the layout
     [theta[2..R], delta0, delta1], with v_r = (delta0 e_r, theta_r, X), and
     total = sum_r gamma_r exp(lp_r).  The score oracles below take Lambda(T)
-    and Int_0^T (M1/M0) dLambda from ``jumps[:k+1]`` and ``ratio[:k+1]``.
+    from the hazard and M1/M0 from :func:`ratio_oracle` at each time up to T.
     """
     gamma_row = np.asarray(gamma_row, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -131,28 +146,42 @@ def _record_sums(rec: SurvivalRecord, gamma_row: np.ndarray, theta: np.ndarray,
     return gv, gev, total
 
 
-def survival_profile_score(rec: SurvivalRecord, gamma_row: np.ndarray, tables: RiskSetTables,
-                           theta: np.ndarray, delta: SurvivalParams) -> np.ndarray:
-    """Profile score of one subject; layout as in :func:`survival.profile_scores`."""
+def _ratio_through(rec: SurvivalRecord, tables: RiskSetTables, data, gamma: np.ndarray,
+                   theta: np.ndarray, delta: SurvivalParams) -> np.ndarray:
+    """Rows of M1/M0 at the tables' times up to ``rec.time``, from :func:`ratio_oracle`."""
     if not matches(tables, theta, delta):
         raise ValueError("aggregate tables were built at a different parameter point")
     k = time_slot(tables, rec.time)
+    packed = PackedData.coerce(data)
+    return np.array([ratio_oracle(t, packed, gamma, theta, delta) for t in tables.times[:k + 1]])
+
+
+def survival_profile_score(rec: SurvivalRecord, gamma_row: np.ndarray, tables: RiskSetTables,
+                           theta: np.ndarray, delta: SurvivalParams, data,
+                           gamma: np.ndarray) -> np.ndarray:
+    """Profile score of one subject; layout as in :func:`survival.profile_scores`.
+
+    ``data`` and ``gamma`` are the dataset and responsibilities the tables
+    were profiled from; M1/M0 is taken from them.
+    """
+    ratio = _ratio_through(rec, tables, data, gamma, theta, delta)
     gv, gev, total = _record_sums(rec, gamma_row, theta, delta)
-    jumps, ratio = tables.jumps[:k + 1], tables.ratio[:k + 1]
-    return float(rec.event) * (gv - ratio[k]) - gev * jumps.sum() + total * (jumps @ ratio)
+    jumps = tables.jumps[:len(ratio)]
+    return float(rec.event) * (gv - ratio[-1]) - gev * jumps.sum() + total * (jumps @ ratio)
 
 
 def efficient_score_survival(rec: SurvivalRecord, gamma_row: np.ndarray, baseline,
                              theta: np.ndarray, delta: SurvivalParams,
-                             tables: RiskSetTables) -> np.ndarray:
-    """Efficient score of one subject; layout as in :func:`survival.profile_scores`."""
-    if not matches(tables, theta, delta):
-        raise ValueError("aggregate tables were built at a different parameter point")
-    k = time_slot(tables, rec.time)
+                             tables: RiskSetTables, data, gamma: np.ndarray) -> np.ndarray:
+    """Efficient score of one subject; layout as in :func:`survival.profile_scores`.
+
+    ``data`` and ``gamma`` are as in :func:`survival_profile_score`.
+    """
+    ratio = _ratio_through(rec, tables, data, gamma, theta, delta)
     gv, gev, total = _record_sums(rec, gamma_row, theta, delta)
-    cum_at = np.asarray(baseline.cum(tables.times[:k + 1]), dtype=float)
-    integral = np.diff(cum_at, prepend=0.0) @ tables.ratio[:k + 1]
-    return float(rec.event) * (gv - tables.ratio[k]) - (gev * cum_at[k] - total * integral)
+    cum_at = np.asarray(baseline.cum(tables.times[:len(ratio)]), dtype=float)
+    integral = np.diff(cum_at, prepend=0.0) @ ratio
+    return float(rec.event) * (gv - ratio[-1]) - (gev * cum_at[-1] - total * integral)
 
 
 # ------------------------------------------------------------ ordinal
@@ -222,8 +251,11 @@ def ordinal_score(responses: ResponseSet, group_effect: float, params: OrdinalPa
 # ------------------------------------------------------------ joint model
 
 def profile_score_obs(subject: SubjectRecord, params: ModelParams, posterior_row: np.ndarray,
-                      tables: RiskSetTables) -> np.ndarray:
-    """Profile score of a single subject: ordinal and survival blocks stacked."""
+                      tables: RiskSetTables, data, posterior: np.ndarray) -> np.ndarray:
+    """Profile score of a single subject: ordinal and survival blocks stacked.
+
+    ``data`` and ``posterior`` are as in :func:`survival_profile_score`.
+    """
     layout = ParamLayout(params.n_groups, params.n_levels, params.n_items)
     gamma_row = np.asarray(posterior_row, dtype=float)
     out = np.zeros(layout.n_free)
@@ -236,7 +268,7 @@ def profile_score_obs(subject: SubjectRecord, params: ModelParams, posterior_row
         if r >= 1:
             out[layout.sl_theta][r - 1] = gamma_row[r] * s[-1]
     surv = survival_profile_score(subject.survival, gamma_row, tables,
-                                  params.theta, params.survival)
+                                  params.theta, params.survival, data, posterior)
     out[layout.sl_theta] += surv[:layout.R - 1]
     out[layout.idx_d0] += surv[layout.R - 1]
     out[layout.idx_d1] += surv[layout.R]

@@ -399,6 +399,15 @@ class TestCheck:
         assert capsys.readouterr().err.startswith("input error: cannot perturb coordinate phi[2]: ")
         assert not (tmp_path / "checks").exists()
 
+    def test_a_nan_mixture_weight_exits_1(self, sim_dir, tmp_path, capsys):
+        # NaN fails every comparison, so only the positive simplex test rejects it
+        doc = json.loads((sim_dir / "truth.json").read_text())
+        doc["params"]["pi"] = [float("nan"), 0.5]
+        (tmp_path / "params.json").write_text(json.dumps(doc))
+        assert self.check(sim_dir, tmp_path, tmp_path / "params.json") == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert not (tmp_path / "checks").exists()
+
 
 def test_a_numeric_failure_exits_3_naming_its_type(sim_dir, tmp_path, capsys, monkeypatch):
     def failing_fit(*args, **kwargs):

@@ -76,10 +76,10 @@ def test_no_module_imports_a_name_it_never_reads():
         assert not unused, f"{path.name} never reads {sorted(unused)}"
 
 
-ORACLES = {"cum_hazard", "risk_set_tables", "risk_aggregates", "profile_hazard", "survival_loglik",
-           "survival_profile_score", "efficient_score_survival", "_record_sums", "time_slot",
-           "matches", "response_counts", "category_probs", "ordinal_loglik", "ordinal_score",
-           "profile_score_obs", "m_step_pi", "observed_loglik"}
+ORACLES = {"cum_hazard", "risk_set_tables", "risk_aggregates", "ratio_oracle", "profile_hazard",
+           "survival_loglik", "survival_profile_score", "efficient_score_survival", "_record_sums",
+           "_ratio_through", "time_slot", "matches", "response_counts", "category_probs",
+           "ordinal_loglik", "ordinal_score", "profile_score_obs", "m_step_pi", "observed_loglik"}
 
 
 def test_per_record_oracles_live_only_in_the_tests():
@@ -212,3 +212,13 @@ def test_every_hazard_is_read_by_cum():
               and "RiskSetTables" in {getattr(sub, "id", getattr(sub, "attr", None))
                                       for sub in ast.walk(node.args[1])}}
     assert checks == {"survival.loglik_matrix"}
+
+
+def test_the_m1_m0_table_is_formed_by_the_survival_score_only():
+    # RiskSetTables is the profiled hazard alone: the only risk-set pass over the
+    # per-group weights is survival._ratio, which only survival._scores calls
+    modules = sorted((SRC / "jointmix").glob("*.py"))
+    assert set().union(*(enclosing_scopes(path, "suffix_sums") for path in modules)) == {
+        "survival._ratio"}
+    assert set().union(*(enclosing_scopes(path, "_ratio") for path in modules)) == {
+        "survival._scores"}

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jointmix.inference
+import jointmix.survival
 from jointmix import (ConstantBaseline, HazardSteps, InfoMatrix, ModelParams, OrdinalParams,
                       ParamLayout, SingularInformationError, SurvivalParams,
                       contraction_check, default_design, default_directions, e_step,
@@ -21,7 +22,8 @@ from jointmix.ordinal import loglik_matrix
 from jointmix.simulation import SimDesign, UniformCensoring
 from jointmix.survival import RiskSetTables, efficient_scores, linear_predictors
 
-from conftest import make_subject, random_gamma, random_params, random_dataset, rescaled
+from conftest import (make_subject, random_gamma, random_params, random_dataset, ratio_table,
+                      rescaled)
 from oracles import mixture_loglik, profile_score_obs
 
 
@@ -40,7 +42,7 @@ class TestProfileScoreObs:
         tables = RiskSetTables(packed, gamma, params.theta, params.survival)
         matrix = score_matrix(packed, params, gamma, tables)
         for i in (0, 7, 29):
-            row = profile_score_obs(records[i], params, gamma[i], tables)
+            row = profile_score_obs(records[i], params, gamma[i], tables, packed, gamma)
             np.testing.assert_allclose(row, matrix[i], rtol=1e-10, atol=1e-12)
 
     def test_wider_design_rows_with_unnormalized_gamma(self):
@@ -50,7 +52,7 @@ class TestProfileScoreObs:
         tables = RiskSetTables(packed, gamma, params.theta, params.survival)
         matrix = score_matrix(packed, params, gamma, tables)
         for i in (0, 11, 29):
-            row = profile_score_obs(records[i], params, gamma[i], tables)
+            row = profile_score_obs(records[i], params, gamma[i], tables, packed, gamma)
             np.testing.assert_allclose(row, matrix[i], rtol=1e-10, atol=1e-12)
 
     def test_mean_score_vanishes_at_fit(self, converged_fit):
@@ -288,8 +290,8 @@ class TestEquivalence:
         design = default_design(200, 4)
         records, _ = generate_dataset(design)
         gamma, _ = fixed_point_posterior(records, design.params)
-        ratio = RiskSetTables.ratio.func
-        monkeypatch.setattr(RiskSetTables, "ratio", property(lambda tables: 1.01 * ratio(tables)))
+        ratio = jointmix.survival._ratio
+        monkeypatch.setattr(jointmix.survival, "_ratio", lambda *args: 1.01 * ratio(*args))
         assert efficient_score_equivalence(records, design.params, gamma) > 1e-4
 
     def test_perturbed_hazard_detected(self):
@@ -422,9 +424,11 @@ class TestFixedPoint:
         gamma, tables = fixed_point_posterior(packed, params, gamma0)
         gamma_ref, tables_ref = fixed_point_oracle(packed, params, gamma0)
         np.testing.assert_allclose(gamma, gamma_ref, rtol=0, atol=1e-12)
-        for name in ("jumps", "ratio"):
-            np.testing.assert_allclose(getattr(tables, name), getattr(tables_ref, name),
-                                       rtol=1e-12, atol=1e-15, err_msg=name)
+        np.testing.assert_allclose(tables.jumps, tables_ref.jumps, rtol=1e-12, atol=1e-15,
+                                   err_msg="jumps")
+        np.testing.assert_allclose(ratio_table(packed, gamma, params.theta, params.survival),
+                                   ratio_table(packed, gamma_ref, params.theta, params.survival),
+                                   rtol=1e-12, atol=1e-15, err_msg="ratio")
 
     def test_iteration_budget_exhausted_warns(self, monkeypatch):
         params, records, _ = dataset_and_gamma(94, n=30)
@@ -517,10 +521,11 @@ class TestFixedPoint:
             assert warm.flags.f_contiguous and not np.shares_memory(warm, gamma0)
         np.testing.assert_array_equal(gamma_c, before)
         gamma, tables = fixed_point_posterior(packed, params, gamma_c)
-        assert gamma.flags.f_contiguous and tables.gamma is gamma
+        assert gamma.flags.f_contiguous
+        assert all(np.shape(kept) != gamma.shape for kept in vars(tables).values())
 
     def test_kept_pair_holds_gamma_and_jumps_only(self):
-        # n = 2 000, R = 3: gamma is 48 000 bytes and the per-group M0 table as much
+        # n = 2 000, R = 3: gamma is 48 000 bytes, and the tables keep no copy of it
         params, records, _ = dataset_and_gamma(88, n=2000, n_groups=3)
         packed = PackedData.coerce(records, 3, 2)
         fixed_point_posterior(packed, params)
@@ -529,17 +534,21 @@ class TestFixedPoint:
         try:
             gamma, tables = fixed_point_posterior(packed, params)
             assert not gamma.flags.writeable
-            assert tables.gamma is gamma
-            assert RiskSetTables(packed, gamma, params.theta, params.survival).gamma is gamma
             gc.collect()
             kept = tracemalloc.get_traced_memory()[0]
             allowance = gamma.nbytes + tables.jumps.nbytes + 16 * 1024
-            del gamma, tables
+            tables_allowance = tables.jumps.nbytes + 16 * 1024
+            del gamma
+            gc.collect()
+            tables_kept = tracemalloc.get_traced_memory()[0]
+            del tables
             gc.collect()
             retained = kept - tracemalloc.get_traced_memory()[0]
+            tables_retained = tables_kept - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert retained <= allowance
+        assert tables_retained <= tables_allowance
 
     @given(seed=st.integers(0, 2 ** 16), time_scale=st.floats(0.01, 100.0),
            shift=st.floats(-3.0, 3.0))

@@ -35,8 +35,9 @@ class TestModelParams:
         (np.array([0.0, 1.0]), np.array([1.0, 0.0]), "pi must lie on the open simplex"),
         (np.array([0.0, 1.0]), np.array([0.6, 0.6]), "pi must lie on the open simplex"),
         (np.array([0.0, 1.0]), np.array([0.5, 0.5 + 1e-11]), "pi must lie on the open simplex"),
+        (np.array([0.0, 1.0]), np.array([np.nan, 0.5]), "pi must lie on the open simplex"),
     ], ids=["theta-2d", "theta-empty", "theta1", "theta-nan", "theta-inf", "pi-size", "pi-2d",
-            "pi-negative", "pi-zero", "pi-sum", "pi-sum-beyond-tolerance"])
+            "pi-negative", "pi-zero", "pi-sum", "pi-sum-beyond-tolerance", "pi-nan"])
     def test_each_check_raises_its_message(self, theta, pi, message):
         ordinal = OrdinalParams(np.array([0.0, 0.1]), np.array([0.0, 1.0]), np.array([0.0]))
         with pytest.raises(ValueError, match=message):

@@ -13,10 +13,10 @@ from jointmix.simulation import ConstantBaseline
 from jointmix.survival import (RiskSetTables, breslow_steps, efficient_scores, loglik_matrix,
                                profile_scores, profiled_loglik)
 
-from conftest import make_subject, random_gamma, survival_only
+from conftest import make_subject, random_gamma, ratio_table, survival_only
 from oracles import (InvalidHazardError, cum_hazard, efficient_score_survival, observed_loglik,
-                     profile_hazard, risk_aggregates, risk_set_tables, survival_loglik,
-                     survival_profile_score)
+                     profile_hazard, ratio_oracle, risk_aggregates, risk_set_tables,
+                     survival_loglik, survival_profile_score)
 
 
 def nelson_aalen_oracle(times, events):
@@ -82,31 +82,30 @@ class TestRiskSetTables:
         records, gamma, theta, delta = self.draw(seed)
         packed = PackedData.coerce(records)
         tables = risk_set_tables(packed, gamma, theta, delta)
-        R = theta.size
+        ratio = ratio_table(packed, gamma, theta, delta)
         for k, t in enumerate(tables.times):
-            m0, m1 = risk_aggregates(t, records, gamma, theta, delta)
+            m0, _ = risk_aggregates(t, records, gamma, theta, delta)
             assert tables.jumps[k] == pytest.approx(packed.event_counts[k] / (packed.n * m0),
                                                     rel=1e-13, abs=0)
-            for r in range(1, R):                 # M0_r: the aggregates of group r alone
-                m0_r, _ = risk_aggregates(t, records, gamma * (np.arange(R) == r), theta, delta)
-                assert tables.ratio[k, r - 1] == pytest.approx(delta.delta0 * m0_r / m0,
-                                                               rel=1e-13, abs=1e-15)
-            assert tables.ratio[k, R - 1] == pytest.approx(m1[1] / m0, rel=1e-13, abs=1e-15)
-            assert tables.ratio[k, R] == pytest.approx(m1[2] / m0, rel=1e-13, abs=1e-15)
+            assert ratio[k] == pytest.approx(ratio_oracle(t, records, gamma, theta, delta),
+                                             rel=1e-13, abs=1e-15)
 
     def test_tables_ignore_later_changes_to_gamma(self):
+        # the responsibilities enter the jumps when the tables are built and are not kept
         records, gamma, theta, delta = self.draw(3)
         packed = PackedData.coerce(records)
         reference = risk_set_tables(packed, gamma.copy(), theta, delta)
-        expected = {name: np.array(getattr(reference, name)) for name in ("jumps", "ratio")}
-        read_first = risk_set_tables(packed, gamma, theta, delta)
-        read_first.ratio                          # derived before the change, kept after it
-        read_later = risk_set_tables(packed, gamma, theta, delta)
+        tables = risk_set_tables(packed, gamma, theta, delta)
         gamma[:] = gamma[::-1] * 3.0
         theta[1:] += 1.0
-        for tables in (read_first, read_later):
-            for name, want in expected.items():
-                np.testing.assert_array_equal(getattr(tables, name), want, err_msg=name)
+        np.testing.assert_array_equal(tables.jumps, reference.jumps)
+        np.testing.assert_array_equal(tables.cum(tables.times), reference.cum(tables.times))
+        np.testing.assert_array_equal(tables.theta, reference.theta)
+
+    def test_tables_hold_the_hazard_only(self):
+        records, gamma, theta, delta = self.draw(4)
+        tables = risk_set_tables(PackedData.coerce(records), gamma, theta, delta)
+        assert set(vars(tables)) == {"times", "jumps", "theta", "delta"}
 
     @pytest.mark.parametrize("bad, error", [(np.nan, FloatingPointError),
                                             (0.0, EmptyRiskSetError)])
@@ -453,7 +452,8 @@ class TestSurvivalProfileScore:
         theta = np.array([0.0])
         delta = SurvivalParams(0.0, 0.0)
         tables = risk_set_tables(records, gamma, theta, delta)
-        score = survival_profile_score(records[0].survival, gamma[0], tables, theta, delta)
+        score = survival_profile_score(records[0].survival, gamma[0], tables, theta, delta,
+                                       records, gamma)
         np.testing.assert_allclose(score, 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -498,7 +498,8 @@ class TestSurvivalProfileScore:
         tables = risk_set_tables(packed, gamma, theta, delta)
         step = 1e-6
         for i in range(n):
-            analytic = survival_profile_score(records[i].survival, gamma[i], tables, theta, delta)
+            analytic = survival_profile_score(records[i].survival, gamma[i], tables, theta, delta,
+                                              packed, gamma)
             numeric = np.zeros(3)
             for c in range(3):
                 for sign in (1, -1):
@@ -545,7 +546,8 @@ class TestSurvivalProfileScore:
         tables = risk_set_tables(records, np.ones((2, 1)), np.array([0.0]), SurvivalParams(0.0, 0.0))
         with pytest.raises(ValueError):
             survival_profile_score(SurvivalRecord(1.5, 0, 0.0), np.array([1.0]), tables,
-                                   np.array([0.0]), SurvivalParams(0.0, 0.0))
+                                   np.array([0.0]), SurvivalParams(0.0, 0.0), records,
+                                   np.ones((2, 1)))
 
 
 class TestEfficientScore:
@@ -556,7 +558,8 @@ class TestEfficientScore:
         delta = SurvivalParams(0.3, -0.2)
         tables = risk_set_tables(records, gamma, theta, delta)
         hazard = tables.hazard_steps()
-        score = efficient_score_survival(records[0].survival, gamma[0], hazard, theta, delta, tables)
+        score = efficient_score_survival(records[0].survival, gamma[0], hazard, theta, delta, tables,
+                                         records, gamma)
         np.testing.assert_allclose(score, 0.0, atol=1e-15)
 
     def test_matches_profile_score_at_profiled_hazard(self):
@@ -607,7 +610,8 @@ class TestEfficientScore:
             hazard = HazardSteps(profiled.times, profiled.jumps * 1.3)
         rows = efficient_scores(packed, gamma, hazard, tables)
         for i, rec in enumerate(records):
-            oracle = efficient_score_survival(rec.survival, gamma[i], hazard, theta, delta, tables)
+            oracle = efficient_score_survival(rec.survival, gamma[i], hazard, theta, delta, tables,
+                                              packed, gamma)
             np.testing.assert_allclose(rows[i], oracle, rtol=1e-12, atol=0, err_msg=f"row {i}")
 
     def test_one_group_martingale_oracle(self):
