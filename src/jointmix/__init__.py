@@ -21,7 +21,7 @@ from .inference import (ContractionCheck, DirectionStat, IdentityCheck, InfoMatr
 from .ordinal import OrdinalParams
 from .params import ModelParams, ParamLayout
 from .simulation import (ConstantBaseline, ExponentialCensoring, MCReport, NoCensoring,
-                         PiecewiseConstantBaseline, SimDesign, TwoPointCovariate,
+                         NormalCovariate, PiecewiseConstantBaseline, SimDesign, TwoPointCovariate,
                          UniformCensoring, default_design, generate_dataset, mc_normality)
 from .survival import EmptyRiskSetError, HazardSteps, RiskSetTables, SurvivalParams
 

@@ -27,7 +27,7 @@ from .data import DataError, PackedData, ResponseSet, SubjectRecord, SurvivalRec
 from .em import _NUMERIC_ERRORS, EMConfig, em_fit
 from .ordinal import OrdinalParams
 from .params import ModelParams, ParamLayout
-from .simulation import (ConstantBaseline, ExponentialCensoring, NoCensoring,
+from .simulation import (ConstantBaseline, ExponentialCensoring, NoCensoring, NormalCovariate,
                          PiecewiseConstantBaseline, SimDesign, TwoPointCovariate,
                          UniformCensoring, generate_dataset, mc_normality)
 from .survival import SurvivalParams
@@ -193,21 +193,21 @@ def params_from_dict(doc: dict) -> ModelParams:
 
 # For each slot of a design: JSON ``type`` -> the distribution class and a
 # conversion for each JSON key, the keys in the order of the class's fields.
-# The "normal" covariate is the string "normal" in a SimDesign, so has no entry.
 _DISTRIBUTIONS = {
     "baseline": {"constant": (ConstantBaseline, {"rate": float}),
                  "piecewise": (PiecewiseConstantBaseline, {"breaks": _array, "rates": _array})},
     "censoring": {"uniform": (UniformCensoring, {"max": float}),
                   "exponential": (ExponentialCensoring, {"rate": float}),
                   "none": (NoCensoring, {})},
-    "covariate": {"two_point": (TwoPointCovariate, {"low": float, "high": float, "prob": float})},
+    "covariate": {"normal": (NormalCovariate, {}),
+                  "two_point": (TwoPointCovariate, {"low": float, "high": float, "prob": float})},
 }
 
 
-def _decode(slot: str, doc, unknown: str | None = None):
+def _decode(slot: str, doc):
     kind = doc.get("type") if isinstance(doc, dict) else doc
     if not (isinstance(kind, str) and kind in _DISTRIBUTIONS[slot]):
-        raise DataError(unknown or f"unknown {slot} type {kind!r}")
+        raise DataError(f"unknown {slot} type {kind!r}")
     cls, fields = _DISTRIBUTIONS[slot][kind]
     return cls(*(convert(doc[key]) for key, convert in fields.items()))
 
@@ -220,22 +220,16 @@ def _encode(slot: str, value) -> dict:
     raise TypeError(f"no JSON form for the {slot} {value!r}")
 
 
-def _decode_covariate(doc) -> str | TwoPointCovariate:
-    """A design's covariate: "normal" (also when the key is absent) or a typed distribution."""
-    if doc in ("normal", None, {"type": "normal"}):
-        return "normal"
-    return _decode("covariate", doc, f"unknown covariate distribution {doc!r}")
-
-
 @_document("design")
 def design_from_dict(doc: dict) -> SimDesign:
+    covariate = doc.get("covariate")
     return SimDesign(
         n=int(doc["n"]),
         params=params_from_dict(doc["params"]),
         n_time_points=int(doc["time_points"]),
         baseline=_decode("baseline", doc["baseline"]),
         censoring=_decode("censoring", doc["censoring"]),
-        covariate=_decode_covariate(doc.get("covariate")),
+        covariate=_decode("covariate", "normal" if covariate is None else covariate),
         seed=int(doc.get("seed", 0)),
     )
 
@@ -247,8 +241,7 @@ def design_to_dict(design: SimDesign) -> dict:
         "time_points": design.n_time_points,
         "baseline": _encode("baseline", design.baseline),
         "censoring": _encode("censoring", design.censoring),
-        "covariate": ({"type": "normal"} if isinstance(design.covariate, str)
-                      else _encode("covariate", design.covariate)),
+        "covariate": _encode("covariate", design.covariate),
         "seed": design.seed,
     }
 

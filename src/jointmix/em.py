@@ -91,9 +91,10 @@ class Posterior:
         gamma = np.array(self.gamma, dtype=float)
         if gamma.ndim != 2:
             raise ValueError("gamma must be an n x R matrix")
-        if np.any(gamma < 0) or np.any(gamma > 1):
+        # both tests are written in the positive form, which NaN fails
+        if not ((gamma >= 0) & (gamma <= 1)).all():
             raise ValueError("responsibilities must lie in [0, 1]")
-        if np.any(np.abs(gamma.sum(axis=1) - 1.0) > 1e-12):
+        if not (np.abs(gamma.sum(axis=1) - 1.0) <= 1e-12).all():
             raise ValueError("every responsibility row must sum to 1")
         gamma.flags.writeable = False
         object.__setattr__(self, "gamma", gamma)
@@ -115,8 +116,9 @@ class EMConfig:
     of the profile log-likelihood, line-search trials and the restart's
     opening EM step included, and ``max_iter`` bounds that count per
     restart; with ``max_iter=1`` the opening EM step is skipped.  A
-    tolerance that is not positive, or a ``max_iter`` or ``n_restarts`` below
-    1, raises :class:`DataError`, a ``ValueError``.
+    tolerance that is not positive and finite (NaN included), or a
+    ``max_iter`` or ``n_restarts`` below 1, raises :class:`DataError`, a
+    ``ValueError``.
     """
 
     tol_loglik: float = 1e-8
@@ -126,8 +128,8 @@ class EMConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol_loglik <= 0 or self.tol_param <= 0:
-            raise DataError("tolerances must be positive")
+        if not (0 < self.tol_loglik < np.inf and 0 < self.tol_param < np.inf):
+            raise DataError("tolerances must be positive and finite")
         if self.max_iter < 1 or self.n_restarts < 1:
             raise DataError("max_iter and n_restarts must be >= 1")
 

@@ -41,10 +41,12 @@ class PiecewiseConstantBaseline:
     def __post_init__(self):
         breaks = np.asarray(self.breaks, dtype=float)
         rates = np.asarray(self.rates, dtype=float)
-        if breaks.ndim != 1 or np.any(breaks <= 0) or np.any(np.diff(breaks) <= 0):
-            raise ValueError("breaks must be positive and strictly increasing")
-        if rates.shape != (breaks.size + 1,) or np.any(rates <= 0):
-            raise ValueError("need one positive rate per segment (len(breaks) + 1)")
+        # 0 < breaks[0] < ... < breaks[-1] < inf and 0 < rates < inf, which NaN fails
+        if breaks.ndim != 1 or not ((np.diff(breaks, prepend=0) > 0).all()
+                                    and np.isfinite(breaks).all()):
+            raise ValueError("breaks must be positive, finite and strictly increasing")
+        if rates.shape != (breaks.size + 1,) or not ((0 < rates) & (rates < np.inf)).all():
+            raise ValueError("need one positive finite rate per segment (len(breaks) + 1)")
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "rates", rates)
         edges = np.concatenate([[0.0], breaks])
@@ -99,6 +101,14 @@ class NoCensoring:
 
 
 @dataclass(frozen=True)
+class NormalCovariate:
+    """Standard normal covariate."""
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.standard_normal(n)
+
+
+@dataclass(frozen=True)
 class TwoPointCovariate:
     """Covariate taking value low with probability prob, else high."""
 
@@ -107,8 +117,8 @@ class TwoPointCovariate:
     prob: float
 
     def __post_init__(self):
-        if not 0 < self.prob < 1:
-            raise ValueError("prob must be in (0, 1)")
+        if not (np.isfinite(self.low) and np.isfinite(self.high) and 0 < self.prob < 1):
+            raise ValueError("low and high must be finite and prob in (0, 1)")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.where(rng.random(n) < self.prob, self.low, self.high)
@@ -120,6 +130,10 @@ class SimDesign:
 
     Dimensions (R, L, J) come from ``params``; ``n_time_points`` is the
     number of protocol visits M (every (item, visit) cell is observed).
+    Each distribution slot is an object with the method ``generate_dataset``
+    calls: ``baseline.inverse_cum(y)``, ``censoring.draw(rng, n)`` and
+    ``covariate.draw(rng, n)``.  A slot without its method raises
+    ``ValueError`` naming the slot.
     """
 
     n: int
@@ -127,7 +141,7 @@ class SimDesign:
     n_time_points: int
     baseline: ConstantBaseline | PiecewiseConstantBaseline
     censoring: UniformCensoring | ExponentialCensoring | NoCensoring
-    covariate: str | TwoPointCovariate = "normal"
+    covariate: NormalCovariate | TwoPointCovariate = NormalCovariate()
     seed: int = 0
 
     def __post_init__(self):
@@ -135,8 +149,10 @@ class SimDesign:
             raise ValueError("n must be >= 1")
         if self.n_time_points < 1:
             raise ValueError("n_time_points must be >= 1")
-        if isinstance(self.covariate, str) and self.covariate != "normal":
-            raise ValueError(f"unknown covariate distribution {self.covariate!r}")
+        for slot, method in (("baseline", "inverse_cum"), ("censoring", "draw"),
+                             ("covariate", "draw")):
+            if not callable(getattr(getattr(self, slot), method, None)):
+                raise ValueError(f"the {slot} has no {method} method: {getattr(self, slot)!r}")
 
 
 def default_design(n: int = 500, seed: int = 0) -> SimDesign:
@@ -155,7 +171,7 @@ def default_design(n: int = 500, seed: int = 0) -> SimDesign:
     return SimDesign(n=n, params=params, n_time_points=3,
                      baseline=ConstantBaseline(0.1),
                      censoring=UniformCensoring(32.0),
-                     covariate="normal", seed=seed)
+                     covariate=NormalCovariate(), seed=seed)
 
 
 def generate_dataset(design: SimDesign, rng: np.random.Generator | None = None):
@@ -184,10 +200,7 @@ def generate_dataset(design: SimDesign, rng: np.random.Generator | None = None):
     R, L, J = params.n_groups, params.n_levels, params.n_items
 
     labels = rng.choice(R, size=n, p=params.pi)
-    if isinstance(design.covariate, str):
-        x = rng.standard_normal(n)
-    else:
-        x = design.covariate.draw(rng, n)
+    x = design.covariate.draw(rng, n)
 
     ordinal = params.ordinal
     eta, logz = _linear_predictor(ordinal.a, ordinal.phi, ordinal.b, params.theta)
@@ -267,18 +280,23 @@ def _replication_seed(base_seed: int, rep: int) -> int:
 
 
 def _run_replication(design: SimDesign, rep: int, config: EMConfig):
+    """One simulate-and-fit run: ``(converged, error, estimates, std_errors)``.
+
+    ``error`` is "" for a converged fit.  A numeric fit failure has NaN
+    estimates and standard errors.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=design.seed, spawn_key=(rep,)))
     records, _ = generate_dataset(design, rng)
     cfg = replace(config, seed=_replication_seed(config.seed, rep))
+    layout = ParamLayout(design.params.n_groups, design.params.n_levels, design.params.n_items)
     try:
         fit = em_fit(records, design.params.n_groups, cfg,
                      n_levels=design.params.n_levels, n_items=design.params.n_items)
     except _NUMERIC_ERRORS as err:  # a numeric fit failure is recorded, not fatal
-        return {"rep": rep, "ok": False, "error": f"{type(err).__name__}: {err}"}
-    layout = ParamLayout(design.params.n_groups, design.params.n_levels, design.params.n_items)
+        nan = np.full(layout.n_free, np.nan)
+        return False, f"{type(err).__name__}: {err}", nan, nan
     error = "" if fit.converged else "not converged: " + "; ".join(fit.diagnostics)
-    return {"rep": rep, "ok": bool(fit.converged), "estimates": layout.pack(fit.params),
-            "std_errors": fit.std_errors, "error": error}
+    return bool(fit.converged), error, layout.pack(fit.params), fit.std_errors
 
 
 def mc_normality(design: SimDesign, replications: int, fit_config: EMConfig | None = None,
@@ -321,13 +339,8 @@ def mc_normality(design: SimDesign, replications: int, fit_config: EMConfig | No
     else:
         results = [_run_replication(design, rep, fit_config) for rep in range(replications)]
 
-    ok = np.array([rec["ok"] for rec in results], dtype=bool)
-    estimates = np.full((replications, p), np.nan)
-    ses = np.full((replications, p), np.nan)
-    for rec in results:
-        if "estimates" in rec:
-            estimates[rec["rep"]] = rec["estimates"]
-            ses[rec["rep"]] = rec["std_errors"]
+    ok = np.array([rec[0] for rec in results], dtype=bool)
+    estimates, ses = (np.reshape([rec[k] for rec in results], (replications, p)) for k in (2, 3))
     good_est = estimates[ok]
     good_se = ses[ok]
     n_good = int(ok.sum())
@@ -343,4 +356,4 @@ def mc_normality(design: SimDesign, replications: int, fit_config: EMConfig | No
     n_failures = replications - n_good
     return MCReport(names, truth, mean_est, emp_sd, mean_se, ratio, coverage,
                     replications, n_failures, n_failures > 0.1 * replications,
-                    design.seed, estimates, ses, ok, tuple(rec["error"] for rec in results))
+                    design.seed, estimates, ses, ok, tuple(rec[1] for rec in results))

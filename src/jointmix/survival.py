@@ -52,6 +52,7 @@ class HazardSteps:
     """Baseline hazard as jump sizes at strictly increasing event times.
 
     Censored-only time points are retained with explicit zero jumps.  The
+    times must be positive, finite and strictly increasing.  The
     cumulative hazard is the right-continuous partial sum, zero at t=0.
     """
 
@@ -63,8 +64,9 @@ class HazardSteps:
         jumps = _readonly(self.jumps, float)
         if times.ndim != 1 or times.shape != jumps.shape:
             raise ValueError("times and jumps must be 1-d arrays of equal length")
-        if times.size and (times[0] <= 0 or np.any(np.diff(times) <= 0)):
-            raise ValueError("times must be strictly increasing and positive")
+        # in the positive form, which NaN fails
+        if times.size and not (0 < times[0] and times[-1] < np.inf and (np.diff(times) > 0).all()):
+            raise ValueError("times must be positive, finite and strictly increasing")
         if np.any(jumps < 0) or not np.all(np.isfinite(jumps)):
             raise ValueError("jumps must be nonnegative and finite")
         object.__setattr__(self, "times", times)

@@ -13,7 +13,8 @@ from jointmix.cli import (EXIT_INPUT, EXIT_NUMERIC, build_records, design_from_d
                           write_dataset_csvs)
 from jointmix.data import DataError
 from jointmix.simulation import (ConstantBaseline, ExponentialCensoring, NoCensoring,
-                                 PiecewiseConstantBaseline, TwoPointCovariate, UniformCensoring)
+                                 NormalCovariate, PiecewiseConstantBaseline, TwoPointCovariate,
+                                 UniformCensoring)
 
 from conftest import make_subject
 
@@ -68,6 +69,17 @@ class TestSimulate:
         path.write_text(json.dumps({"n": 10}))
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("slot, doc", [
+        ("baseline", {"type": "piecewise", "breaks": [5.0], "rates": [float("nan"), 0.2]}),
+        ("covariate", {"type": "two_point", "low": float("nan"), "high": 1.0, "prob": 0.5})],
+        ids=["nan-rate", "nan-two-point"])
+    def test_a_nan_distribution_value_exits_1_naming_the_design(self, tmp_path, capsys,
+                                                                 slot, doc):
+        path = write_design(tmp_path, **{slot: doc})
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: bad design document: ")
+        assert not (tmp_path / "out").exists()
+
 
 def assert_field_equal(got, want):
     assert type(got) is type(want)
@@ -88,7 +100,7 @@ class TestDesignCodec:
         ("censoring", UniformCensoring(32.0), {"type": "uniform", "max": 32.0}),
         ("censoring", ExponentialCensoring(0.05), {"type": "exponential", "rate": 0.05}),
         ("censoring", NoCensoring(), {"type": "none"}),
-        ("covariate", "normal", {"type": "normal"}),
+        ("covariate", NormalCovariate(), {"type": "normal"}),
         ("covariate", TwoPointCovariate(-0.5, 1.5, 0.4),
          {"type": "two_point", "low": -0.5, "high": 1.5, "prob": 0.4}),
     ], ids=["constant", "piecewise", "uniform", "exponential", "none", "normal", "two_point"])
@@ -103,12 +115,27 @@ class TestDesignCodec:
     @pytest.mark.parametrize("slot, message", [
         ("baseline", "unknown baseline type 'x'"),
         ("censoring", "unknown censoring type 'x'"),
-        ("covariate", "unknown covariate distribution {'type': 'x'}"),
+        ("covariate", "unknown covariate type 'x'"),
     ])
     def test_an_unknown_type_is_named(self, slot, message):
         doc = design_to_dict(default_design(n=40))
         doc[slot] = {"type": "x"}
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            design_from_dict(doc)
+
+    @pytest.mark.parametrize("form", [..., None, "normal", {"type": "normal"}],
+                             ids=["absent", "null", "string", "typed"])
+    def test_every_normal_covariate_form_decodes_to_the_normal_covariate(self, form):
+        doc = design_to_dict(default_design(n=40))
+        del doc["covariate"]
+        if form is not ...:
+            doc["covariate"] = form
+        assert design_from_dict(doc).covariate == NormalCovariate()
+
+    def test_an_empty_covariate_document_is_rejected(self):
+        doc = design_to_dict(default_design(n=40))
+        doc["covariate"] = {}
+        with pytest.raises(DataError, match="^unknown covariate type None$"):
             design_from_dict(doc)
 
 
@@ -220,11 +247,13 @@ class TestFit:
 
     @pytest.mark.parametrize("flags, config", [
         (["--max-iter", "0"], None), (["--restarts", "0"], None), (["--tol-param=-1e-6"], None),
+        (["--tol-loglik", "nan"], None), (["--tol-param", "nan"], None),
         (["--groups", "0"], None), ([], {"max_iter": 0}),
         # a config value converts as its flag converts the same text on the command line
         ([], {"restarts": 1.5}), ([], {"seed": 1.5}), ([], {"groups": True}),
         ([], {"tol_loglik": [1]})],
-        ids=["max-iter", "restarts", "tol-param", "groups", "config", "config-float-restarts",
+        ids=["max-iter", "restarts", "tol-param", "nan-tol-loglik", "nan-tol-param", "groups",
+             "config", "config-float-restarts",
              "config-float-seed", "config-bool-groups", "config-list-tol"])
     def test_invalid_fit_settings_exit_1(self, sim_dir, tmp_path, capsys, flags, config):
         before = []
@@ -397,6 +426,15 @@ class TestCheck:
         (tmp_path / "params.json").write_text(json.dumps(doc))
         assert self.check(sim_dir, tmp_path, tmp_path / "params.json") == EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error: cannot perturb coordinate phi[2]: ")
+        assert not (tmp_path / "checks").exists()
+
+    def test_a_nan_piecewise_rate_exits_1(self, sim_dir, tmp_path, capsys):
+        doc = json.loads((sim_dir / "truth.json").read_text())
+        doc["baseline"] = doc["params"]["baseline"] = {
+            "type": "piecewise", "breaks": [5.0], "rates": [float("nan"), 0.1]}
+        (tmp_path / "params.json").write_text(json.dumps(doc))
+        assert self.check(sim_dir, tmp_path, tmp_path / "params.json") == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: bad parameter document: ")
         assert not (tmp_path / "checks").exists()
 
     def test_a_nan_mixture_weight_exits_1(self, sim_dir, tmp_path, capsys):

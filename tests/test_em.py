@@ -763,6 +763,11 @@ class TestConfigValidation:
     def test_bad_config(self):
         with pytest.raises(ValueError):
             EMConfig(tol_loglik=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^tolerances must be positive and finite$"):
+                EMConfig(tol_loglik=bad)
+            with pytest.raises(ValueError, match="^tolerances must be positive and finite$"):
+                EMConfig(tol_param=bad)
         with pytest.raises(ValueError):
             EMConfig(max_iter=0)
         with pytest.raises(ValueError):
@@ -773,3 +778,5 @@ class TestConfigValidation:
             Posterior(np.array([[0.5, 0.6]]))
         with pytest.raises(ValueError):
             Posterior(np.array([[1.2, -0.2]]))
+        with pytest.raises(ValueError, match="lie in"):
+            Posterior(np.array([[0.5, 0.5], [np.nan, np.nan]]))

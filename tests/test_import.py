@@ -222,3 +222,17 @@ def test_the_m1_m0_table_is_formed_by_the_survival_score_only():
         "survival._ratio"}
     assert set().union(*(enclosing_scopes(path, "_ratio") for path in modules)) == {
         "survival._scores"}
+
+
+def test_every_design_slot_is_a_distribution_object():
+    # the normal covariate is a class like the other distributions: the string "normal"
+    # is only its JSON type name and the default of an absent covariate key, and the
+    # dataset reads each slot through its method, with no branch on the slot's form
+    package = SRC / "jointmix"
+    literals = sorted(scope for path in sorted(package.glob("*.py"))
+                      for scope, node in scoped_nodes(path)
+                      if isinstance(node, ast.Constant) and node.value == "normal")
+    assert literals == ["cli.<module>", "cli.design_from_dict"]
+    simulation = package / "simulation.py"
+    assert "simulation.generate_dataset" in enclosing_scopes(simulation, "draw")
+    assert "simulation.generate_dataset" not in enclosing_scopes(simulation, "isinstance")

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import jointmix.simulation
-from jointmix import (ConstantBaseline, EMConfig, ModelParams, NoCensoring, OrdinalParams,
-                      PackedData, PiecewiseConstantBaseline, SimDesign, SurvivalParams,
-                      TwoPointCovariate, UniformCensoring, default_design, generate_dataset,
-                      mc_normality)
+from jointmix import (ConstantBaseline, EMConfig, ModelParams, NoCensoring, NormalCovariate,
+                      OrdinalParams, PackedData, ParamLayout, PiecewiseConstantBaseline,
+                      SimDesign, SurvivalParams, TwoPointCovariate, UniformCensoring,
+                      default_design, generate_dataset, mc_normality)
 
 from oracles import category_probs
 
@@ -74,6 +74,38 @@ class TestBaselines:
             PiecewiseConstantBaseline(np.array([2.0, 1.0]), np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             PiecewiseConstantBaseline(np.array([1.0]), np.array([1.0]))
+        # NaN fails every comparison, so only a check in the positive form rejects it
+        for breaks in ([np.nan], [np.inf], [1.0, np.nan]):
+            with pytest.raises(ValueError, match="^breaks must"):
+                PiecewiseConstantBaseline(np.array(breaks), np.full(len(breaks) + 1, 0.1))
+        for rates in ([np.nan, 0.2], [np.inf, 0.2], [0.1, -np.inf]):
+            with pytest.raises(ValueError, match="^need one"):
+                PiecewiseConstantBaseline(np.array([1.0]), np.array(rates))
+
+
+class TestSimDesign:
+    @pytest.mark.parametrize("slot, value, method", [
+        ("covariate", "normal", "draw"), ("covariate", None, "draw"),
+        ("censoring", ConstantBaseline(0.1), "draw"),
+        ("baseline", UniformCensoring(32.0), "inverse_cum")])
+    def test_a_slot_without_its_method_is_rejected_naming_the_slot(self, slot, value, method):
+        base = default_design(n=40)
+        fields = dict(n=40, params=base.params, n_time_points=3, baseline=base.baseline,
+                      censoring=base.censoring)
+        with pytest.raises(ValueError, match=f"^the {slot} has no {method} method: "):
+            SimDesign(**{**fields, slot: value})
+
+    def test_the_default_covariate_is_the_normal_one(self):
+        base = default_design(n=40)
+        design = SimDesign(n=40, params=base.params, n_time_points=3, baseline=base.baseline,
+                           censoring=base.censoring)
+        assert design.covariate == base.covariate == NormalCovariate()
+
+    @pytest.mark.parametrize("low, high", [(np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0),
+                                           (0.0, np.inf)])
+    def test_a_two_point_covariate_needs_finite_values(self, low, high):
+        with pytest.raises(ValueError, match="low and high must be finite"):
+            TwoPointCovariate(low, high, 0.5)
 
 
 class TestGenerateDataset:
@@ -258,7 +290,8 @@ class TestMcNormality:
                 return map(fn, *iterables)
 
         def replication(design, rep, config):
-            return {"rep": rep, "ok": False, "error": "stub"}
+            nan = np.full(ParamLayout(2, 3, 2).n_free, np.nan)
+            return False, "stub", nan, nan
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(jointmix.simulation, "_run_replication", replication)
@@ -272,9 +305,31 @@ class TestMcNormality:
         # replication 6 of default_design(n=500) has its MLE at phi[2] = 1, reached but
         # not certified
         design = default_design(n=500, seed=0)
-        rec = jointmix.simulation._run_replication(design, 6, EMConfig(n_restarts=2, max_iter=20_000))
-        assert not rec["ok"]
-        assert rec["error"] == "not converged: first-order condition not met at exit"
+        converged, error, _, _ = jointmix.simulation._run_replication(
+            design, 6, EMConfig(n_restarts=2, max_iter=20_000))
+        assert not converged
+        assert error == "not converged: first-order condition not met at exit"
+
+    def test_every_replication_outcome_has_one_shape(self, monkeypatch):
+        design = default_design(n=500, seed=0)
+        run = jointmix.simulation._run_replication
+        outcomes = [run(design, 0, EMConfig(n_restarts=2, max_iter=20_000)),
+                    run(design, 0, EMConfig(n_restarts=1, max_iter=2))]
+
+        def raising_fit(*args, **kwargs):
+            raise FloatingPointError("weights overflowed")
+
+        monkeypatch.setattr(jointmix.simulation, "em_fit", raising_fit)
+        outcomes.append(run(design, 0, EMConfig(n_restarts=1)))
+        assert [converged for converged, _, _, _ in outcomes] == [True, False, False]
+        assert outcomes[0][1] == "" and outcomes[1][1].startswith("not converged: ")
+        assert outcomes[2][1] == "FloatingPointError: weights overflowed"
+        for converged, error, estimates, ses in outcomes:
+            assert type(converged) is bool and isinstance(error, str)
+            assert estimates.shape == ses.shape == (ParamLayout(2, 3, 2).n_free,)
+            assert estimates.dtype == ses.dtype == np.float64
+        assert np.isnan(outcomes[2][2]).all() and np.isnan(outcomes[2][3]).all()
+        assert np.isfinite(outcomes[1][2]).all()
 
     def test_truth_must_be_canonical(self):
         base = default_design(n=40, seed=14)

@@ -352,6 +352,9 @@ class TestCumHazard:
             HazardSteps(np.array([2.0, 1.0]), np.array([0.1, 0.1]))
         with pytest.raises(ValueError):
             HazardSteps(np.array([1.0]), np.array([-0.1]))
+        for times in ([np.nan], [1.0, np.nan], [1.0, np.inf], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="^times must be positive, finite"):
+                HazardSteps(np.array(times), np.full(len(times), 0.1))
         hazard = HazardSteps(np.array([1.0]), np.array([0.1]))
         with pytest.raises(ValueError):
             cum_hazard(hazard, -1.0)
